@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"tbaa/internal/alias"
+	"tbaa/internal/cow"
 	"tbaa/internal/driver"
 	"tbaa/internal/interp"
 	"tbaa/internal/ir"
@@ -45,15 +46,37 @@ type Analyzer struct {
 	prog *ir.Program
 	env  *driver.PassEnv
 	snap atomic.Pointer[querySnap]
+	// book is the edit bookkeeping of the access-path index (see
+	// pathBook), built on the first ApplyEdit and guarded by mu.
+	book *pathBook
 }
 
 // querySnap is one immutable generation of query state: the built
 // oracle and the access-path name index. A snapshot is never mutated
-// after it is published.
+// after it is published; the sorted name list only Paths needs is
+// computed on first use.
 type querySnap struct {
 	oracle *alias.Analysis
-	paths  map[string]*ir.AP
-	names  []string // sorted keys of paths
+	// paths maps each name to the first instruction access path that
+	// carries it, in Procs → Blocks → Instrs order. An edit derives the
+	// next generation's index from this one (see cow.Map), so it costs
+	// the edited procedure's names, not the program's.
+	paths     *cow.Map[string, *ir.AP]
+	namesOnce sync.Once
+	names     []string // sorted keys of paths
+}
+
+// sortedNames returns the snapshot's sorted path names, sorting them
+// on first use.
+func (s *querySnap) sortedNames() []string {
+	s.namesOnce.Do(func() {
+		s.names = make([]string, 0, s.paths.Len())
+		for name := range s.paths.All {
+			s.names = append(s.names, name)
+		}
+		sort.Strings(s.names)
+	})
+	return s.names
 }
 
 // NewAnalyzer lowers a fresh program from the module, runs the
@@ -172,26 +195,33 @@ func (a *Analyzer) snapshot() *querySnap {
 }
 
 // buildSnapshotLocked builds the oracle and the access-path index for
-// the program's current shape; a.mu must be held.
+// the program's current shape with one walk over every procedure; a.mu
+// must be held.
 func (a *Analyzer) buildSnapshotLocked() *querySnap {
-	s := &querySnap{oracle: a.env.Oracle(), paths: make(map[string]*ir.AP)}
+	oracle := a.env.Oracle()
+	paths := make(map[string]*ir.AP)
 	for _, p := range a.prog.Procs {
-		for _, b := range p.Blocks {
-			for i := range b.Instrs {
-				ap := b.Instrs[i].AP
-				if ap == nil {
-					continue
-				}
-				name := ap.String()
-				if _, ok := s.paths[name]; !ok {
-					s.paths[name] = ap
-					s.names = append(s.names, name)
-				}
+		procPaths(p, func(name string, ap *ir.AP) {
+			if _, ok := paths[name]; !ok {
+				paths[name] = ap
+			}
+		})
+	}
+	return &querySnap{oracle: oracle, paths: cow.FromMap(paths)}
+}
+
+// procPaths calls fn with the name and access path of every
+// instruction path in p, in Blocks → Instrs order. It is the one
+// per-procedure walk behind both the full index build and the edit
+// delta (see pathBook), so both resolve a name the same way.
+func procPaths(p *ir.Proc, fn func(name string, ap *ir.AP)) {
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			if ap := b.Instrs[i].AP; ap != nil {
+				fn(ap.String(), ap)
 			}
 		}
 	}
-	sort.Strings(s.names)
-	return s
 }
 
 // Invalidate discards the published query snapshot and every memoized
@@ -208,21 +238,25 @@ func (a *Analyzer) buildSnapshotLocked() *querySnap {
 // hold. Both routes produce identical verdicts for the program's
 // current shape — the delta path is differentially pinned to the
 // from-scratch build, so a dirty-tracking bug can only cost
-// performance, never soundness. With no intervening mutation
-// (ApplyEdit, or a pass pipeline step) the rebuilt snapshot answers
-// exactly as the old one; Invalidate then merely drops accumulated
-// memo and flow state, its original role for long-lived embedders.
+// performance, never soundness. The access-path name index is the
+// exception: Invalidate always rebuilds it whole and drops the edit
+// bookkeeping ApplyEdit keeps; only ApplyEdit updates it by delta.
+// With no intervening mutation (ApplyEdit, or a pass pipeline step)
+// the rebuilt snapshot answers exactly as the old one; Invalidate then
+// merely drops accumulated memo and flow state, its original role for
+// long-lived embedders.
 func (a *Analyzer) Invalidate() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.env.Invalidate()
+	a.book = nil
 	if a.snap.Load() != nil {
 		a.snap.Store(a.buildSnapshotLocked())
 	}
 }
 
 func (s *querySnap) resolve(file, name string) (*ir.AP, error) {
-	if ap, ok := s.paths[name]; ok {
+	if ap, ok := s.paths.Get(name); ok {
 		return ap, nil
 	}
 	return nil, &PathError{File: file, Path: name}
@@ -260,7 +294,7 @@ func (a *Analyzer) query(s *querySnap, ap, aq *ir.AP) bool {
 // Paths returns the sorted names of every access path occurring in the
 // program — the vocabulary MayAlias queries draw from.
 func (a *Analyzer) Paths() []string {
-	return slices.Clone(a.snapshot().names)
+	return slices.Clone(a.snapshot().sortedNames())
 }
 
 // MayAlias reports whether the two named access paths may denote the

@@ -2,8 +2,11 @@ package tbaa
 
 import (
 	"fmt"
+	"slices"
 
 	"tbaa/internal/ast"
+	"tbaa/internal/cow"
+	"tbaa/internal/ir"
 	"tbaa/internal/lower"
 	"tbaa/internal/parser"
 	"tbaa/internal/sema"
@@ -60,10 +63,21 @@ func (m *Module) EditProc(src string) (*ProcEdit, error) {
 // procedure's access paths are re-interned and re-partitioned, only its
 // flow facts are dropped, and only its SCC and the SCCs that reach it
 // are re-summarized (with a full rebuild as the automatic fallback when
-// the edit changed a program-wide fact table). The refreshed snapshot
-// is published atomically exactly as Invalidate does: queries in flight
-// finish on the snapshot they started with, and queries that begin
-// after ApplyEdit returns see only the edited program.
+// the edit changed a program-wide fact table). The mod-ref layer also
+// keeps the previous RTA call graph when the edited procedure was
+// unreachable or its allocations, direct calls, and method sites are
+// unchanged.
+//
+// The access-path name index is updated by delta, not rebuilt: only
+// names the procedure carried before the edit or carries after it can
+// change, and each still resolves to its first occurrence in
+// Procs → Blocks → Instrs order, exactly as a full build would. The
+// first ApplyEdit on an Analyzer pays one walk of the program to
+// record which procedures carry which names; later edits cost the
+// edited procedure. The refreshed snapshot is published atomically
+// exactly as Invalidate does: queries in flight finish on the snapshot
+// they started with, and queries that begin after ApplyEdit returns
+// see only the edited program.
 //
 // Configured optimization passes are not re-run: the replacement body
 // is analyzed as lowered. Analyzers built without passes — the serving
@@ -79,14 +93,110 @@ func (a *Analyzer) ApplyEdit(e *ProcEdit) error {
 	if a.prog.ProcByName[e.proc.Name] == nil {
 		return fmt.Errorf("tbaa: program has no procedure %s", e.proc.Name)
 	}
+	old := a.snap.Load()
+	if old != nil && a.book == nil {
+		a.book = newPathBook(a.prog) // before the old body is gone
+	}
 	a.mod.mu.RLock()
-	lower.LowerProcInto(a.prog, a.mod.c.Sema, e.proc)
+	p := lower.LowerProcInto(a.prog, a.mod.c.Sema, e.proc)
 	a.mod.mu.RUnlock()
 	a.env.Invalidate()
-	if a.snap.Load() != nil {
-		a.snap.Store(a.buildSnapshotLocked())
+	if old != nil {
+		oracle := a.env.Oracle()
+		paths := a.book.edit(a.prog, old.paths, slices.Index(a.prog.Procs, p))
+		a.snap.Store(&querySnap{oracle: oracle, paths: paths})
 	}
 	return nil
+}
+
+// pathBook is the writer-side bookkeeping that lets ApplyEdit update
+// the access-path index by delta: each procedure's distinct path names,
+// and for each name the ascending Procs positions of the procedures
+// carrying it. A name resolves to its first carrier's first occurrence,
+// so when an edit drops a name from the procedure that owned it, the
+// next carrier takes it over. It is built on the first ApplyEdit, so
+// cold and warm builds never pay for it, and guarded by Analyzer.mu.
+type pathBook struct {
+	names   [][]string         // per Procs position, first-occurrence order
+	holders map[string][]int32 // name → ascending Procs positions
+}
+
+func newPathBook(prog *ir.Program) *pathBook {
+	b := &pathBook{names: make([][]string, len(prog.Procs)), holders: make(map[string][]int32)}
+	for i, p := range prog.Procs {
+		b.names[i], _ = firstPaths(p)
+		for _, name := range b.names[i] {
+			b.holders[name] = append(b.holders[name], int32(i))
+		}
+	}
+	return b
+}
+
+// firstPaths returns p's distinct path names in first-occurrence order
+// and the access path of each name's first occurrence.
+func firstPaths(p *ir.Proc) ([]string, map[string]*ir.AP) {
+	var names []string
+	first := make(map[string]*ir.AP)
+	procPaths(p, func(name string, ap *ir.AP) {
+		if _, ok := first[name]; !ok {
+			first[name] = ap
+			names = append(names, name)
+		}
+	})
+	return names, first
+}
+
+// edit derives the next generation of the access-path index from old
+// after the procedure at Procs position i was re-lowered, and updates
+// the bookkeeping to match. Names the procedure kept or gained resolve
+// to its new body when it is their first carrier; names it dropped
+// move to their next carrier, or leave the index with their last one.
+func (b *pathBook) edit(prog *ir.Program, old *cow.Map[string, *ir.AP], i int) *cow.Map[string, *ir.AP] {
+	pi := int32(i)
+	names, first := firstPaths(prog.Procs[i])
+	paths := old.Derive()
+	moved := make(map[int32]map[string]bool) // next owner → names it takes over
+	for _, name := range b.names[i] {
+		if _, kept := first[name]; kept {
+			continue
+		}
+		h := b.holders[name]
+		owned := h[0] == pi
+		k, _ := slices.BinarySearch(h, pi)
+		h = slices.Delete(h, k, k+1)
+		if len(h) == 0 {
+			delete(b.holders, name)
+			paths.Delete(name)
+			continue
+		}
+		b.holders[name] = h
+		if owned {
+			if moved[h[0]] == nil {
+				moved[h[0]] = make(map[string]bool)
+			}
+			moved[h[0]][name] = true
+		}
+	}
+	for _, name := range names {
+		h := b.holders[name]
+		if k, found := slices.BinarySearch(h, pi); !found {
+			h = slices.Insert(h, k, pi)
+			b.holders[name] = h
+		}
+		if h[0] == pi {
+			paths.Set(name, first[name])
+		}
+	}
+	for q, want := range moved {
+		procPaths(prog.Procs[q], func(name string, ap *ir.AP) {
+			if want[name] {
+				paths.Set(name, ap)
+				delete(want, name)
+			}
+		})
+	}
+	b.names[i] = names
+	return paths
 }
 
 // EditProc is the one-analyzer convenience: Module.EditProc followed by

@@ -119,17 +119,11 @@ func TestCompareScale(t *testing.T) {
 }
 
 func TestCompareScaleRatioGate(t *testing.T) {
-	pol := ScalePolicy{
-		Caps:   map[string]float64{"AnalyzerBuild": 1.60, "RebuildOneProc": 1.30},
-		Margin: 0.25,
-		Ratios: map[string]RatioGate{
-			"RebuildOneProc": {Against: "AnalyzerBuild", Max: 0.10},
-		},
-	}
-	// Build cost 100*n^1.2; rebuild a flat-ish 0.4*n^0.9. At the largest
-	// module (100k lines) the ratio is well under a tenth.
+	pol := DefaultScalePolicy()
+	// Build cost 100*n^1.2; rebuild a flat-ish 0.4*n^0.5. At the largest
+	// module (100k lines) the ratio is far under a fiftieth.
 	base := synthRows("L", "AnalyzerBuild", 100, 1.2, 10000, 100000)
-	base = append(base, synthRows("L", "RebuildOneProc", 0.4, 0.9, 10000, 100000)...)
+	base = append(base, synthRows("L", "RebuildOneProc", 0.4, 0.5, 10000, 100000)...)
 	rep, err := CompareScale(base, nil, pol)
 	if err != nil {
 		t.Fatal(err)
@@ -141,21 +135,22 @@ func TestCompareScaleRatioGate(t *testing.T) {
 	if r.Op != "RebuildOneProc" || r.Against != "AnalyzerBuild" || r.Lines != 100000 || r.Status != "ok" {
 		t.Fatalf("ratio row = %+v", r)
 	}
-	wantRatio := (0.4 * math.Pow(100000, 0.9)) / (100 * math.Pow(100000, 1.2))
+	wantRatio := (0.4 * math.Pow(100000, 0.5)) / (100 * math.Pow(100000, 1.2))
 	if math.Abs(r.Ratio-wantRatio) > 1e-12 {
 		t.Fatalf("ratio = %g, want %g", r.Ratio, wantRatio)
 	}
 
-	// A rebuild that crept to a third of the from-scratch build fails
-	// even though its growth exponent is fine.
+	// A rebuild at a twentieth of the from-scratch build — inside the
+	// old tenth — fails even though its growth exponent is fine.
+	twentieth := 100 * math.Pow(100000, 1.2) / 20 / math.Pow(100000, 0.5)
 	bad := synthRows("L", "AnalyzerBuild", 100, 1.2, 10000, 100000)
-	bad = append(bad, synthRows("L", "RebuildOneProc", 33, 1.2, 10000, 100000)...)
+	bad = append(bad, synthRows("L", "RebuildOneProc", twentieth, 0.5, 10000, 100000)...)
 	rep, err = CompareScale(bad, nil, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Failed {
-		t.Fatal("want failure for a rebuild costing a third of the build")
+		t.Fatal("want failure for a rebuild costing a twentieth of the build")
 	}
 	var buf strings.Builder
 	rep.Fprint(&buf)
@@ -171,6 +166,30 @@ func TestCompareScaleRatioGate(t *testing.T) {
 	}
 	if rep.Failed || len(rep.Ratios) != 0 {
 		t.Fatalf("want no ratio rows for an artifact without the op, got %+v", rep)
+	}
+}
+
+// TestRebuildOneProcSublinear pins the edit path's growth cap: a
+// rebuild that grows linearly with the module fails the default policy
+// even while it stays a small fraction of the build.
+func TestRebuildOneProcSublinear(t *testing.T) {
+	pol := DefaultScalePolicy()
+	if c := pol.Caps["RebuildOneProc"]; c >= 1 {
+		t.Fatalf("RebuildOneProc cap %g is not sublinear", c)
+	}
+	rows := synthRows("L", "AnalyzerBuild", 100, 1.2, 10000, 100000)
+	rows = append(rows, synthRows("L", "RebuildOneProc", 0.001, 1.0, 10000, 100000)...)
+	rep, err := CompareScale(rows, nil, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Failed {
+		t.Fatal("want failure for linear RebuildOneProc growth")
+	}
+	for _, r := range rep.Ratios {
+		if r.Status != "ok" {
+			t.Fatalf("ratio row failed, want only the exponent to: %+v", r)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package lower
 import (
 	"tbaa/internal/ir"
 	"tbaa/internal/sema"
+	"tbaa/internal/types"
 )
 
 // LowerProcInto re-lowers one checked procedure into an existing
@@ -44,20 +45,43 @@ func LowerProcInto(prog *ir.Program, sp *sema.Program, proc *sema.Procedure) *ir
 // dedupMerges drops entries appended after pre that duplicate an
 // earlier pair. Merge feeds a set union (type-group merging), so
 // duplicates are semantics-free; they are removed only to keep the
-// table length stable across re-lowerings of an unchanged body.
+// table length stable across re-lowerings of an unchanged body. The
+// set holds only the appended suffix — one procedure's merges — and
+// the prefix is only scanned, until every appended pair is found: a
+// bitset of the suffix's target type IDs keeps the hash probes to
+// prefix entries that can match.
 func dedupMerges(merges []ir.Merge, pre int) []ir.Merge {
+	if pre == len(merges) {
+		return merges
+	}
 	type pair struct{ dst, src int }
-	seen := make(map[pair]bool, len(merges))
+	dup := make(map[pair]bool, len(merges)-pre) // suffix pair → recorded earlier
+	var dsts types.Bitset
+	for _, m := range merges[pre:] {
+		dup[pair{m.Dst.ID(), m.Src.ID()}] = false
+		dsts.Add(m.Dst.ID())
+	}
+	unseen := len(dup)
 	for _, m := range merges[:pre] {
-		seen[pair{m.Dst.ID(), m.Src.ID()}] = true
+		if unseen == 0 {
+			break // every appended pair is already recorded
+		}
+		if !dsts.Has(m.Dst.ID()) {
+			continue
+		}
+		k := pair{m.Dst.ID(), m.Src.ID()}
+		if seen, ok := dup[k]; ok && !seen {
+			dup[k] = true
+			unseen--
+		}
 	}
 	out := merges[:pre]
 	for _, m := range merges[pre:] {
 		k := pair{m.Dst.ID(), m.Src.ID()}
-		if seen[k] {
+		if dup[k] {
 			continue
 		}
-		seen[k] = true
+		dup[k] = true
 		out = append(out, m)
 	}
 	return out

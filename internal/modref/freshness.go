@@ -44,7 +44,7 @@ import (
 
 // computeFreshness fills mr.freshStores, walking SCCs bottom-up.
 func (mr *ModRef) computeFreshness(sccs [][]*ir.Proc) {
-	mr.freshStores = make(map[*ir.Instr]bool)
+	mr.freshStores = make(map[*ir.Proc]map[*ir.Instr]bool)
 	mr.returnsFresh = make(map[*ir.Proc]bool)
 	for _, scc := range sccs {
 		mr.freshnessSCC(scc)
@@ -84,13 +84,20 @@ func (mr *ModRef) freshnessSCC(scc []*ir.Proc) {
 	}
 	for _, p := range scc {
 		st := region[p]
+		var fresh map[*ir.Instr]bool
 		for _, b := range p.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if in.Op == ir.OpStore && in.AP != nil && st.freshStore(in.AP) {
-					mr.freshStores[in] = true
+					if fresh == nil {
+						fresh = make(map[*ir.Instr]bool)
+					}
+					fresh[in] = true
 				}
 			}
+		}
+		if fresh != nil {
+			mr.freshStores[p] = fresh
 		}
 	}
 }

@@ -20,22 +20,35 @@ import (
 //
 // The reuse invariants, bottom-up:
 //
+//   - The RTA result (instantiated set and reachable procedures) is
+//     reused by pointer when every dirty procedure either was
+//     unreachable in the old walk, which then never read its body, or
+//     feeds the walk the same set of allocated types, direct callee
+//     names, and method-site dispatch keys the old walk recorded for it
+//     (reuseRTA). The walk then reads the same inputs everywhere and
+//     reaches the same least fixpoint. The raw inputs are compared, not
+//     the call edges under the old instantiated set: equal edges at the
+//     old fixpoint do not imply the same least fixpoint. Otherwise the
+//     walk reruns whole, and a changed instantiated set bails to
+//     ComputeWith.
 //   - Call edges of a clean procedure are unchanged: direct calls
 //     resolve through ProcByName (no procedure added, removed, or
 //     renamed — guarded by the fingerprint's proc count; edited bodies
 //     keep their *ir.Proc identity) and method-call dispatch depends on
 //     the body's sites, the universe, the RTA instantiated set, and the
-//     Refine narrowing, all of which the fingerprint and the explicit
-//     instantiated-set comparison pin.
+//     Refine narrowing, all of which the fingerprint and the RTA rule
+//     above pin.
 //   - Freshness facts of an SCC are unchanged when its membership is the
 //     same as in the old decomposition, no member was mutated, and every
 //     outside callee's returnsFresh fact is unchanged — those are the
 //     only inputs of freshnessSCC's fixpoint besides AddressTakenVars
-//     (fingerprint-guarded).
+//     (fingerprint-guarded). Fresh-store marks are kept per procedure,
+//     so a reused SCC shares its members' mark sets by pointer.
 //   - Direct effects of a clean procedure whose freshStores marks were
 //     carried over are unchanged; shape IDs stay valid because the new
-//     generation interns into a clone of the old shape table, which
-//     preserves every existing ID and only appends.
+//     generation interns into a table derived copy-on-write from the old
+//     one (shapeTab.derive), which preserves every existing ID and only
+//     appends.
 //   - An SCC summary is reusable when its membership is unchanged, no
 //     member's direct effects changed, and every outside callee's
 //     summary is the identical *Effects. When a summary must be rebuilt
@@ -44,10 +57,17 @@ import (
 //     equality upstream and a local change cannot cascade into
 //     whole-graph resummarization.
 //
+// Still linear in the program: the per-procedure maps (callees,
+// direct, byProc, returnsFresh, freshStores) are copied and the Tarjan
+// condensation is recomputed over the whole call graph. Both are plain
+// passes over pointers; the fixpoints, body scans, and summary unions
+// are what the delta saves.
+//
 // Update never writes old: shared substructures (callee slices, direct
-// and summary Effects, the old shape table) are immutable once their
-// construction finished, so queries in flight against the old ModRef
-// remain correct while and after the new generation is built.
+// and summary Effects, RTA records, fresh-store sets, the old shape
+// table generation) are immutable once their construction finished,
+// so queries in flight against the old ModRef remain correct while and
+// after the new generation is built.
 
 // modrefFP witnesses the global fact tables the mod-ref construction
 // consults beyond procedure bodies. Every component is append-only
@@ -105,11 +125,14 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 		direct:  make(map[*ir.Proc]*Effects, len(prog.Procs)),
 		callees: make(map[*ir.Proc][]*ir.Proc, len(prog.Procs)),
 		effMemo: make(map[*ir.Instr]*Effects),
-		shapes:  old.shapes.clone(),
 		fp:      old.fp,
 	}
 	if cfg.RTA && !cfg.OpenWorld && prog.Main != nil {
-		mr.rta()
+		if reuseRTA(old, dirty) {
+			mr.inst, mr.reachable, mr.rtaIn = old.inst, old.reachable, old.rtaIn
+		} else {
+			mr.rta()
+		}
 	}
 	// Dispatch must agree with the old build everywhere, or clean
 	// procedures' call edges (and every summary above them) could
@@ -118,6 +141,7 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 	if !bitsetEqual(mr.inst, old.inst) {
 		return nil, nil
 	}
+	mr.shapes = old.shapes.derive()
 
 	isDirty := make(map[*ir.Proc]bool, len(dirty))
 	for _, p := range dirty {
@@ -156,42 +180,22 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 
 	// Freshness, bottom-up. freshRecomputed marks procedures whose
 	// freshStores marks may differ from the old build's, which forces
-	// their direct effects to be rescanned.
+	// their direct effects to be rescanned; freshChanged marks those
+	// whose returnsFresh fact did change. Callee SCCs come first, so
+	// when an SCC is reached every outside callee is final, and a
+	// member not yet processed is in the SCC itself.
 	freshRecomputed := make(map[*ir.Proc]bool)
+	freshChanged := make(map[*ir.Proc]bool)
 	if cfg.RTA {
-		mr.freshStores = make(map[*ir.Instr]bool)
+		mr.freshStores = make(map[*ir.Proc]map[*ir.Instr]bool, len(old.freshStores))
 		mr.returnsFresh = make(map[*ir.Proc]bool, len(prog.Procs))
 		for _, scc := range sccs {
-			reuse := sccUnchanged(scc)
-			if reuse {
-				for _, p := range scc {
-					if isDirty[p] {
-						reuse = false
-						break
-					}
-					for _, c := range mr.callees[p] {
-						if oid := old.sccOf[c]; oid == old.sccOf[p] {
-							continue // same-SCC edge: handled by the fixpoint itself
-						}
-						if mr.returnsFresh[c] != old.returnsFresh[c] {
-							reuse = false
-							break
-						}
-					}
-					if !reuse {
-						break
-					}
-				}
-			}
+			reuse := sccUnchanged(scc) && !anyIn(scc, isDirty) && !mr.callsInto(scc, freshChanged)
 			if reuse {
 				for _, p := range scc {
 					mr.returnsFresh[p] = old.returnsFresh[p]
-					for _, b := range p.Blocks {
-						for i := range b.Instrs {
-							if in := &b.Instrs[i]; old.freshStores[in] {
-								mr.freshStores[in] = true
-							}
-						}
+					if fresh := old.freshStores[p]; fresh != nil {
+						mr.freshStores[p] = fresh
 					}
 				}
 				continue
@@ -199,6 +203,9 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 			mr.freshnessSCC(scc)
 			for _, p := range scc {
 				freshRecomputed[p] = true
+				if mr.returnsFresh[p] != old.returnsFresh[p] {
+					freshChanged[p] = true
+				}
 			}
 		}
 	}
@@ -224,30 +231,19 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 	// Summaries, bottom-up. Reuse the old summary object when nothing
 	// feeding it changed; otherwise rebuild, but install the old object
 	// if the rebuilt content matches, stopping the cascade there.
+	// sumChanged marks procedures whose summary object changed; as with
+	// freshChanged, it holds only final summaries of earlier SCCs.
+	sumChanged := make(map[*ir.Proc]bool)
 	for _, scc := range sccs {
-		member := make(map[*ir.Proc]bool, len(scc))
-		for _, p := range scc {
-			member[p] = true
-		}
 		var oldSum *Effects
 		same := sccUnchanged(scc)
 		if same {
 			oldSum = old.byProc[scc[0]]
 		}
-		reuse := same
+		reuse := same && !mr.callsInto(scc, sumChanged)
 		for _, p := range scc {
-			if !reuse {
-				break
-			}
-			if mr.direct[p] != old.direct[p] {
+			if reuse && mr.direct[p] != old.direct[p] {
 				reuse = false
-				break
-			}
-			for _, c := range mr.callees[p] {
-				if !member[c] && mr.byProc[c] != old.byProc[c] {
-					reuse = false
-					break
-				}
 			}
 		}
 		if reuse {
@@ -256,17 +252,7 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 			}
 			continue
 		}
-		sum := &Effects{ModGlobals: make(map[*ir.Var]bool)}
-		absorbed := make(map[*Effects]bool)
-		for _, p := range scc {
-			sum.absorb(mr.direct[p])
-			for _, c := range mr.callees[p] {
-				if cs := mr.byProc[c]; !member[c] && !absorbed[cs] {
-					absorbed[cs] = true
-					sum.absorb(cs)
-				}
-			}
-		}
+		sum := mr.summarizeSCC(scc)
 		if oldSum != nil && effectsEqual(sum, oldSum) {
 			sum = oldSum // already materialized; never re-materialize a shared object
 		} else {
@@ -274,6 +260,9 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 		}
 		for _, p := range scc {
 			mr.byProc[p] = sum
+			if sum != old.byProc[p] {
+				sumChanged[p] = true
+			}
 		}
 	}
 
@@ -283,40 +272,40 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 	// content equality, so everything unlisted saw identical effects.
 	var consumers []*ir.Proc
 	for _, p := range prog.Procs {
-		if isDirty[p] {
-			continue
-		}
-		for _, c := range mr.callees[p] {
-			if mr.byProc[c] != old.byProc[c] {
-				consumers = append(consumers, p)
-				break
-			}
+		if !isDirty[p] && mr.callsInto([]*ir.Proc{p}, sumChanged) {
+			consumers = append(consumers, p)
 		}
 	}
 	return mr, consumers
 }
 
-// clone copies the shape table so the new generation can intern fresh
-// shapes without mutating the old one (whose bitset-indexed summaries
-// stay live for in-flight queries). Existing IDs are preserved, so old
-// bitvecs remain valid against the clone's reps.
-func (st *shapeTab) clone() *shapeTab {
-	c := &shapeTab{
-		byAP:  make(map[*ir.AP]int32, len(st.byAP)),
-		byKey: make(map[string]int32, len(st.byKey)),
-		reps:  append([]*ir.AP(nil), st.reps...),
+// anyIn reports whether some procedure of ps is in set.
+func anyIn(ps []*ir.Proc, set map[*ir.Proc]bool) bool {
+	for _, p := range ps {
+		if set[p] {
+			return true
+		}
 	}
-	for k, v := range st.byAP {
-		c.byAP[k] = v
+	return false
+}
+
+// callsInto reports whether some procedure of ps calls into set; an
+// empty set (the common case: nothing upstream changed) costs no edge
+// scan.
+func (mr *ModRef) callsInto(ps []*ir.Proc, set map[*ir.Proc]bool) bool {
+	if len(set) == 0 {
+		return false
 	}
-	for k, v := range st.byKey {
-		c.byKey[k] = v
+	for _, p := range ps {
+		if anyIn(mr.callees[p], set) {
+			return true
+		}
 	}
-	return c
+	return false
 }
 
 // effectsEqual reports whether two summaries describe the same effects:
-// equal shape sets (IDs are stable across the table clone, so bitvec
+// equal shape sets (IDs are stable across derived tables, so bitvec
 // equality is shape equality), equal rebound globals, and equal flags.
 // Equal content means equal verdicts from MayModify and MayRebind.
 func effectsEqual(a, b *Effects) bool {

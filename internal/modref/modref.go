@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"tbaa/internal/alias"
+	"tbaa/internal/cow"
 	"tbaa/internal/ir"
 	"tbaa/internal/types"
 )
@@ -99,29 +100,46 @@ func (eff *Effects) materialize(st *shapeTab) {
 // (nil as its own bucket) refines the old scan's nil-type wildcard at
 // worst into an extra representative with identical shape otherwise —
 // a superset of representatives, so verdicts stay sound.
+//
+// Both maps are copy-on-write (cow.Map) and reps is append-only, so an
+// incremental Update derives the next generation's table in time
+// proportional to what recent generations added (see derive).
 type shapeTab struct {
-	byAP  map[*ir.AP]int32
-	byKey map[string]int32
+	byAP  *cow.Map[*ir.AP, int32]
+	byKey *cow.Map[string, int32]
 	reps  []*ir.AP
 }
 
 func newShapeTab() *shapeTab {
-	return &shapeTab{byAP: make(map[*ir.AP]int32), byKey: make(map[string]int32)}
+	return &shapeTab{byAP: cow.FromMap(make(map[*ir.AP]int32)), byKey: cow.FromMap(make(map[string]int32))}
 }
 
 func (st *shapeTab) id(ap *ir.AP) int32 {
-	if id, ok := st.byAP[ap]; ok {
+	if id, ok := st.byAP.Get(ap); ok {
 		return id
 	}
 	key := shapeKey(ap)
-	id, ok := st.byKey[key]
+	id, ok := st.byKey.Get(key)
 	if !ok {
 		id = int32(len(st.reps))
-		st.byKey[key] = id
+		st.byKey.Set(key, id)
 		st.reps = append(st.reps, ap)
 	}
-	st.byAP[ap] = id
+	st.byAP.Set(ap, id)
 	return id
+}
+
+// derive returns the next generation's table. It preserves every
+// existing ID, so old bitvecs stay valid against it, and never writes
+// st, whose bitset-indexed summaries stay live for in-flight queries:
+// reps is capped at its length, so the first new shape copies it
+// instead of appending into st's backing array.
+func (st *shapeTab) derive() *shapeTab {
+	return &shapeTab{
+		byAP:  st.byAP.Derive(),
+		byKey: st.byKey.Derive(),
+		reps:  st.reps[:len(st.reps):len(st.reps)],
+	}
 }
 
 // paths returns the representative APs of the shapes in b.
@@ -175,6 +193,11 @@ type ModRef struct {
 	// reachable marks procedures the RTA walk reached from the module
 	// body; nil when no RTA ran.
 	reachable map[*ir.Proc]bool
+	// rtaIn holds, per reachable procedure, the inputs the RTA walk read
+	// from its body; Update compares a dirty body's inputs against them
+	// to reuse inst and reachable (see reuseRTA). Nil when no RTA ran or
+	// the ModRef was decoded from a snapshot.
+	rtaIn map[*ir.Proc][]rtaInput
 	// effMu guards effMemo: CallEffects is reached from the analyzer's
 	// lock-free query path (the flow layer's interprocedural call-kill
 	// rule consults it while procedure facts solve concurrently).
@@ -183,11 +206,13 @@ type ModRef struct {
 	// combine their dispatch targets' summaries; RLE's dataflow re-asks
 	// per iteration).
 	effMemo map[*ir.Instr]*Effects
-	// freshStores marks store instructions whose target object is
-	// provably allocated during the enclosing procedure's own
+	// freshStores marks, per procedure, the store instructions whose
+	// target object is provably allocated during the procedure's own
 	// invocation (see freshness.go); they are invisible to callers.
-	// Nil outside RTA mode.
-	freshStores map[*ir.Instr]bool
+	// Procedures without such stores have no entry, and an incremental
+	// Update shares a reused SCC's sets by pointer. Nil outside RTA
+	// mode.
+	freshStores map[*ir.Proc]map[*ir.Instr]bool
 	// returnsFresh marks procedures whose every return value is an
 	// invocation-fresh object. Nil outside RTA mode.
 	returnsFresh map[*ir.Proc]bool
@@ -252,13 +277,14 @@ func (mr *ModRef) collectDirect() {
 // collectDirectProc scans one procedure's body for its direct effects.
 func (mr *ModRef) collectDirectProc(p *ir.Proc) *Effects {
 	eff := &Effects{ModGlobals: make(map[*ir.Var]bool)}
+	fresh := mr.freshStores[p]
 	for _, b := range p.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			switch in.Op {
 			case ir.OpStore:
 				if in.AP != nil {
-					if !mr.freshStores[in] {
+					if !fresh[in] {
 						eff.mods.add(mr.shapes.id(in.AP))
 					}
 					if in.Sel.Kind == ir.SelDeref {

@@ -24,6 +24,10 @@
 package modref
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"tbaa/internal/ir"
 	"tbaa/internal/types"
 )
@@ -137,9 +141,12 @@ func (mr *ModRef) Callees(p *ir.Proc) []*ir.Proc { return mr.callees[p] }
 // calls dispatch only to implementations selectable by an instantiated
 // receiver type, so newly instantiated types can make more procedures
 // reachable, which can instantiate more types — iterate until stable.
+// The inputs read from each reachable body are kept in rtaIn, so an
+// incremental Update can tell whether an edit could move the fixpoint.
 func (mr *ModRef) rta() {
 	mr.inst = types.NewBitset(mr.prog.Universe.NumTypes())
 	mr.reachable = make(map[*ir.Proc]bool)
+	mr.rtaIn = make(map[*ir.Proc][]rtaInput)
 	var sites []*ir.Instr // method-call sites in reachable code
 	var queue []*ir.Proc
 	enqueue := func(p *ir.Proc) {
@@ -153,19 +160,14 @@ func (mr *ModRef) rta() {
 		for len(queue) > 0 {
 			p := queue[0]
 			queue = queue[1:]
-			for _, b := range p.Blocks {
-				for i := range b.Instrs {
-					in := &b.Instrs[i]
-					switch in.Op {
-					case ir.OpNew, ir.OpNewArray:
-						if in.Type != nil {
-							mr.inst.Add(in.Type.ID())
-						}
-					case ir.OpCall:
-						enqueue(mr.prog.ProcByName[in.Callee])
-					case ir.OpMethodCall:
-						sites = append(sites, in)
-					}
+			facts := scanRTA(p, func(site *ir.Instr) { sites = append(sites, site) })
+			mr.rtaIn[p] = facts
+			for _, x := range facts {
+				switch x.kind {
+				case rtaAlloc:
+					mr.inst.Add(int(x.typeID))
+				case rtaCall:
+					enqueue(mr.prog.ProcByName[x.name])
 				}
 			}
 		}
@@ -183,40 +185,125 @@ func (mr *ModRef) rta() {
 	}
 }
 
+// rtaInput is one fact the RTA walk reads from a reachable body: an
+// allocated type, a direct callee, or a method-call site's dispatch
+// key (static receiver type, -1 when unknown, and method name). A
+// site's dispatch set is a function of its key, the universe, the
+// instantiated set, and the Refine narrowing, so these facts are the
+// body's entire contribution to the fixpoint.
+type rtaInput struct {
+	kind   rtaKind
+	typeID int32
+	name   string
+}
+
+type rtaKind uint8
+
+const (
+	rtaAlloc rtaKind = iota
+	rtaCall
+	rtaSite
+)
+
+// scanRTA returns p's RTA inputs in body order, handing each method
+// call instruction to site when site is non-nil.
+func scanRTA(p *ir.Proc, site func(*ir.Instr)) []rtaInput {
+	var out []rtaInput
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			switch in.Op {
+			case ir.OpNew, ir.OpNewArray:
+				if in.Type != nil {
+					out = append(out, rtaInput{kind: rtaAlloc, typeID: int32(in.Type.ID())})
+				}
+			case ir.OpCall:
+				out = append(out, rtaInput{kind: rtaCall, name: in.Callee})
+			case ir.OpMethodCall:
+				recv := int32(-1)
+				if in.RecvType != nil {
+					recv = int32(in.RecvType.ID())
+				}
+				out = append(out, rtaInput{kind: rtaSite, typeID: recv, name: in.Method})
+				if site != nil {
+					site(in)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sameRTAInputs reports whether two bodies feed the RTA walk the same
+// facts. Only the sets matter — the fixpoint is order-independent — so
+// an edit that reorders or repeats an allocation or call compares
+// equal.
+func sameRTAInputs(a, b []rtaInput) bool {
+	return slices.Equal(rtaInputSet(a), rtaInputSet(b))
+}
+
+func rtaInputSet(in []rtaInput) []rtaInput {
+	out := slices.Clone(in)
+	slices.SortFunc(out, func(x, y rtaInput) int {
+		return cmp.Or(cmp.Compare(x.kind, y.kind), cmp.Compare(x.typeID, y.typeID), strings.Compare(x.name, y.name))
+	})
+	return slices.Compact(out)
+}
+
+// reuseRTA reports whether old's RTA result still holds after the
+// dirty procedures' bodies changed: each dirty procedure was either
+// unreachable in the old walk (its body was never read) or feeds the
+// walk the same facts as before. The walk then reads the same inputs
+// everywhere and reaches the same least fixpoint. Equal call edges
+// under old.inst would not suffice: the walk reads raw allocations,
+// calls, and sites, and a fixpoint that happens to reproduce the old
+// edges can still be a different least fixpoint.
+func reuseRTA(old *ModRef, dirty []*ir.Proc) bool {
+	if old.inst == nil || old.rtaIn == nil {
+		return false
+	}
+	for _, p := range dirty {
+		if old.reachable[p] && !sameRTAInputs(scanRTA(p, nil), old.rtaIn[p]) {
+			return false
+		}
+	}
+	return true
+}
+
 // tarjanSCCs returns the call graph's strongly connected components in
 // Tarjan emission order: each SCC appears after every SCC it can
 // reach, so iterating the result is a bottom-up (callees-first) walk
-// of the condensation.
+// of the condensation. Visit state lives in a slice indexed by visit
+// order (a procedure's Tarjan index), so an edge costs one map lookup.
 func (mr *ModRef) tarjanSCCs() [][]*ir.Proc {
-	index := make(map[*ir.Proc]int, len(mr.prog.Procs))
-	low := make(map[*ir.Proc]int, len(mr.prog.Procs))
-	onStack := make(map[*ir.Proc]bool)
+	type node struct {
+		low     int32
+		onStack bool
+	}
+	index := make(map[*ir.Proc]int32, len(mr.prog.Procs))
+	nodes := make([]node, 0, len(mr.prog.Procs))
 	var stack []*ir.Proc
-	next := 0
 	var sccs [][]*ir.Proc
-	var strong func(p *ir.Proc)
-	strong = func(p *ir.Proc) {
-		index[p] = next
-		low[p] = next
-		next++
+	var strong func(p *ir.Proc) int32
+	strong = func(p *ir.Proc) int32 {
+		i := int32(len(nodes))
+		index[p] = i
+		nodes = append(nodes, node{low: i, onStack: true})
 		stack = append(stack, p)
-		onStack[p] = true
 		for _, c := range mr.callees[p] {
-			if _, seen := index[c]; !seen {
-				strong(c)
-				if low[c] < low[p] {
-					low[p] = low[c]
-				}
-			} else if onStack[c] && index[c] < low[p] {
-				low[p] = index[c]
+			if ci, seen := index[c]; !seen {
+				ci = strong(c)
+				nodes[i].low = min(nodes[i].low, nodes[ci].low)
+			} else if nodes[ci].onStack {
+				nodes[i].low = min(nodes[i].low, ci)
 			}
 		}
-		if low[p] == index[p] {
+		if nodes[i].low == i {
 			var scc []*ir.Proc
 			for {
 				q := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[q] = false
+				nodes[index[q]].onStack = false
 				scc = append(scc, q)
 				if q == p {
 					break
@@ -224,6 +311,7 @@ func (mr *ModRef) tarjanSCCs() [][]*ir.Proc {
 			}
 			sccs = append(sccs, scc)
 		}
+		return i
 	}
 	for _, p := range mr.prog.Procs {
 		if _, seen := index[p]; !seen {
@@ -240,23 +328,34 @@ func (mr *ModRef) tarjanSCCs() [][]*ir.Proc {
 // — the sound fixpoint for recursion, without iteration.
 func (mr *ModRef) summarizeSCCs(sccs [][]*ir.Proc) {
 	for _, scc := range sccs {
-		member := make(map[*ir.Proc]bool, len(scc))
-		for _, p := range scc {
-			member[p] = true
-		}
-		sum := &Effects{ModGlobals: make(map[*ir.Var]bool)}
-		absorbed := make(map[*Effects]bool)
-		for _, p := range scc {
-			sum.absorb(mr.direct[p])
-			for _, c := range mr.callees[p] {
-				if cs := mr.byProc[c]; !member[c] && !absorbed[cs] {
-					absorbed[cs] = true
-					sum.absorb(cs)
-				}
-			}
-		}
+		sum := mr.summarizeSCC(scc)
 		for _, p := range scc {
 			mr.byProc[p] = sum
 		}
 	}
+}
+
+// summarizeSCC unions one SCC's direct effects with the final
+// summaries of its callees outside the SCC (mr.sccOf must record the
+// decomposition scc belongs to).
+func (mr *ModRef) summarizeSCC(scc []*ir.Proc) *Effects {
+	id := mr.sccOf[scc[0]]
+	outside := func(c *ir.Proc) bool {
+		if len(scc) == 1 {
+			return c != scc[0] // the common case, without a map lookup
+		}
+		return mr.sccOf[c] != id
+	}
+	sum := &Effects{ModGlobals: make(map[*ir.Var]bool)}
+	absorbed := make(map[*Effects]bool)
+	for _, p := range scc {
+		sum.absorb(mr.direct[p])
+		for _, c := range mr.callees[p] {
+			if cs := mr.byProc[c]; outside(c) && !absorbed[cs] {
+				absorbed[cs] = true
+				sum.absorb(cs)
+			}
+		}
+	}
+	return sum
 }

@@ -19,10 +19,10 @@ import (
 // program.
 //
 // FromSnapshot deliberately leaves the construction-only state (direct
-// effects, SCC decomposition, per-store freshness marks) empty: Update
-// refuses to run without them and the caller falls back to ComputeWith,
-// so the first edit after a warm start pays a full mod-ref rebuild —
-// a performance cost, never a soundness one.
+// effects, SCC decomposition, per-store freshness marks, RTA input
+// records) empty: Update refuses to run without them and the caller
+// falls back to ComputeWith, so the first edit after a warm start pays
+// a full mod-ref rebuild — a performance cost, never a soundness one.
 
 // EffectsSnap is the persistable form of one Effects summary. Mods and
 // Refs hold sorted shape IDs; ModGlobals holds sorted Program.Globals

@@ -293,7 +293,7 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 
 		// One-procedure incremental rebuild: re-install a verbatim body
 		// through the public edit path and time the whole mutation —
-		// this is the number the ≥10x-cheaper-than-AnalyzerBuild gate
+		// this is the number the ≥50x-cheaper-than-AnalyzerBuild gate
 		// (guard.DefaultScalePolicy) enforces at the largest module.
 		editSrc, err := scaleEditProc(src)
 		if err != nil {

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"sort"
 
 	"tbaa/internal/alias"
 	"tbaa/internal/artifact"
+	"tbaa/internal/cow"
 	"tbaa/internal/driver"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
@@ -113,16 +113,14 @@ func (m *Module) warmStart(cfg *config) (*driver.PassEnv, *querySnap, ArtifactSt
 	if err != nil {
 		return nil, nil, ArtifactInvalid
 	}
-	qs := &querySnap{oracle: oracle, paths: make(map[string]*ir.AP, len(snap.APList))}
+	paths := make(map[string]*ir.AP, len(snap.APList))
 	for _, ap := range snap.APList {
 		name := ap.String()
-		if _, ok := qs.paths[name]; !ok {
-			qs.paths[name] = ap
-			qs.names = append(qs.names, name)
+		if _, ok := paths[name]; !ok {
+			paths[name] = ap
 		}
 	}
-	sort.Strings(qs.names)
-	return env, qs, ArtifactHit
+	return env, &querySnap{oracle: oracle, paths: cow.FromMap(paths)}, ArtifactHit
 }
 
 // writeArtifact persists the freshly built analysis state, overwriting
