@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The optimizer's passes fan procedures across GOMAXPROCS workers; the
+# second run race-checks both the one-worker loop and the fan-out on
+# any runner.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 ./internal/opt ./internal/randprog
 
 # Full benchmark sweep (one iteration each; see bench_test.go for the
 # per-table/figure benchmarks and internal/alias for the oracle ones).

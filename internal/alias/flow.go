@@ -166,7 +166,10 @@ type pathFact struct {
 // reference; paths maps stored-to access paths (keyed by their source
 // rendering) to the same for their current content. Absent entries are
 // top. A present empty set means "NIL on every path here". Bitsets are
-// immutable once stored: transfer and join always install fresh sets.
+// immutable once stored, so states, snapshots and TypeRefsTable rows
+// share them freely: transfer installs new sets rather than editing
+// old ones, and join keeps a predecessor's set unless a union grows it,
+// and then unions into a clone.
 type flowState struct {
 	vars  map[*ir.Var]types.Bitset
 	paths map[string]pathFact
@@ -354,39 +357,66 @@ func (st flowState) clone() flowState {
 
 // joinStates meets predecessor exit states: an entry survives only when
 // present on every incoming path, with the union of its per-path sets.
+// The first predecessor's set is shared when no other adds bits to it.
 func joinStates(preds []flowState) flowState {
 	out := flowState{vars: map[*ir.Var]types.Bitset{}, paths: map[string]pathFact{}}
 	for v, s := range preds[0].vars {
-		merged := s.Clone()
-		ok := true
+		merged, owned, ok := s, false, true
 		for _, ps := range preds[1:] {
 			other, has := ps.vars[v]
 			if !has {
 				ok = false
 				break
 			}
-			merged.Union(other)
+			merged, owned = unionShared(merged, owned, other)
 		}
 		if ok {
 			out.vars[v] = merged
 		}
 	}
 	for k, fct := range preds[0].paths {
-		merged := fct.set.Clone()
-		ok := true
+		merged, owned, ok := fct.set, false, true
 		for _, ps := range preds[1:] {
 			other, has := ps.paths[k]
 			if !has || !other.ap.Equal(fct.ap) {
 				ok = false
 				break
 			}
-			merged.Union(other.set)
+			merged, owned = unionShared(merged, owned, other.set)
 		}
 		if ok {
 			out.paths[k] = pathFact{ap: fct.ap, set: merged}
 		}
 	}
 	return out
+}
+
+// unionShared returns dst ∪ src without editing a set it does not own:
+// when src adds nothing, dst comes back as is; otherwise a shared dst
+// is cloned once before the union. owned reports whether the result is
+// a private clone the caller may keep growing.
+func unionShared(dst types.Bitset, owned bool, src types.Bitset) (types.Bitset, bool) {
+	if subset(src, dst) {
+		return dst, owned
+	}
+	if !owned {
+		dst = dst.Clone()
+	}
+	dst.Union(src)
+	return dst, true
+}
+
+// subset reports whether every element of a is in b.
+func subset(a, b types.Bitset) bool {
+	for i, w := range a {
+		if i < len(b) {
+			w &^= b[i]
+		}
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func statesEqual(a, b flowState) bool {

@@ -1,6 +1,7 @@
 package alias_test
 
 import (
+	"strings"
 	"testing"
 
 	"tbaa/internal/alias"
@@ -9,6 +10,7 @@ import (
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
 	"tbaa/internal/opt"
+	"tbaa/internal/types"
 )
 
 // flowSrc allocates two sibling subtypes into supertype-declared
@@ -243,4 +245,80 @@ END PrefixKill.
 			t.Fatalf("%v-driven RLE miscompiled: want %q, got %q", lvl, want, got)
 		}
 	}
+}
+
+// joinSrc has two diamonds, one widening x in its THEN arm and one
+// widening y in its ELSE arm, then a loop whose back edge adds nothing.
+const joinSrc = `
+MODULE Join;
+TYPE
+  T  = OBJECT i: INTEGER; END;
+  S1 = T OBJECT a: INTEGER; END;
+  S2 = T OBJECT b: INTEGER; END;
+VAR
+  x, y: T;
+  c, sink: INTEGER;
+BEGIN
+  c := 1;
+  x := NEW(S1);
+  y := NEW(S1);
+  sink := x.i;
+  sink := y.i;
+  IF c > 0 THEN
+    x := NEW(S2);
+    sink := x.i;
+  ELSE
+    sink := x.i;
+  END;
+  sink := x.i;
+  IF c > 0 THEN
+    sink := y.i;
+  ELSE
+    y := NEW(S2);
+    sink := y.i;
+  END;
+  sink := y.i;
+  WHILE c < 10 DO
+    sink := x.i;
+    c := c + 1;
+  END;
+  sink := x.i;
+  PutInt(sink); PutLn();
+END Join.
+`
+
+// TestFlowJoinLeavesPredecessorFactsAlone pins the copy-on-write join:
+// a join shares a predecessor's set when the other paths add nothing
+// and unions into a clone otherwise, so the facts snapshotted before
+// the join — in the arm that did not widen and in the block before the
+// branch — still hold their own sets afterwards.
+func TestFlowJoinLeavesPredecessorFactsAlone(t *testing.T) {
+	prog := compileFlow(t, joinSrc)
+	fs := alias.New(prog, alias.Options{Level: alias.LevelFSTypeRefs})
+	names := func(s types.Bitset) string {
+		var out []string
+		for _, id := range s.IDs() {
+			out = append(out, prog.Universe.ByID(id).String())
+		}
+		return strings.Join(out, ",")
+	}
+	check := func(path string, want []string) {
+		t.Helper()
+		ss := sites(prog, path)
+		if len(ss) != len(want) {
+			t.Fatalf("%s: %d sites, want %d", path, len(ss), len(want))
+		}
+		for k, s := range ss {
+			got := alias.FlowSet(fs, s.Instr.AP.Root, s)
+			if got == nil || names(got) != want[k] {
+				t.Errorf("%s site %d: narrowed to {%s}, want {%s}", path, k, names(got), want[k])
+			}
+		}
+	}
+	// x: before the branch, widening THEN arm, plain ELSE arm, after
+	// the join, in the loop (header join with a back edge adding
+	// nothing), after the loop.
+	check("x.i", []string{"S1", "S2", "S1", "S1,S2", "S1,S2", "S1,S2"})
+	// y: before the branch, plain THEN arm, widening ELSE arm, after.
+	check("y.i", []string{"S1", "S1", "S2", "S1,S2"})
 }

@@ -1,11 +1,10 @@
 package alias
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"tbaa/internal/ir"
+	"tbaa/internal/par"
 	"tbaa/internal/types"
 )
 
@@ -175,7 +174,7 @@ func (a *Analysis) countPairsFlow(refs []Ref, cls []int32, part *partition) Pair
 			procs = append(procs, p)
 		}
 	}
-	parallelDo(len(procs), func(i int) { a.flow.factsFor(procs[i]) })
+	par.Do(len(procs), func(i int) { a.flow.factsFor(procs[i]) })
 	// sets[i] is the narrowed allocated-type set of refs[i]'s root at its
 	// site, or nil when the refinement cannot speak for it — exactly the
 	// inputs of flow.disjoint.
@@ -239,7 +238,7 @@ func (a *Analysis) countPairsFlow(refs []Ref, cls []int32, part *partition) Pair
 	}
 	workers := 1
 	if len(groups) >= 64 {
-		workers = parallelWorkers(len(groups))
+		workers = par.Workers(len(groups))
 	}
 	globals := make([]int, workers)
 	var wg sync.WaitGroup
@@ -279,7 +278,7 @@ func (a *Analysis) countPairsFlow(refs []Ref, cls []int32, part *partition) Pair
 		lo = hi
 	}
 	locals := make([]int, len(runs))
-	parallelDo(len(runs), func(k int) {
+	par.Do(len(runs), func(k int) {
 		lo, hi := runs[k][0], runs[k][1]
 		local := 0
 		for i := lo; i < hi; i++ {
@@ -312,44 +311,4 @@ func hashBitset(s types.Bitset) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// parallelWorkers caps a worker pool at GOMAXPROCS and the task count.
-func parallelWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelDo runs fn(0..n-1) across a worker pool; with one worker (or
-// one task) it degrades to a plain loop.
-func parallelDo(n int, fn func(i int)) {
-	workers := parallelWorkers(n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

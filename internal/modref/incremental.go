@@ -124,7 +124,7 @@ func Update(old *ModRef, cfg Config, dirty []*ir.Proc) (*ModRef, []*ir.Proc) {
 		byProc:  make(map[*ir.Proc]*Effects, len(prog.Procs)),
 		direct:  make(map[*ir.Proc]*Effects, len(prog.Procs)),
 		callees: make(map[*ir.Proc][]*ir.Proc, len(prog.Procs)),
-		effMemo: make(map[*ir.Instr]*Effects),
+		effMemo: make(map[dispatchKey]*Effects),
 		fp:      old.fp,
 	}
 	if cfg.RTA && !cfg.OpenWorld && prog.Main != nil {

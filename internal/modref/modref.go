@@ -198,14 +198,21 @@ type ModRef struct {
 	// to reuse inst and reachable (see reuseRTA). Nil when no RTA ran or
 	// the ModRef was decoded from a snapshot.
 	rtaIn map[*ir.Proc][]rtaInput
-	// effMu guards effMemo: CallEffects is reached from the analyzer's
-	// lock-free query path (the flow layer's interprocedural call-kill
-	// rule consults it while procedure facts solve concurrently).
+	// effMu guards effMemo and undefined: CallEffects is reached from
+	// the analyzer's lock-free query path (the flow layer's
+	// interprocedural call-kill rule consults it while procedure facts
+	// solve concurrently) and from the optimizer's per-procedure
+	// workers.
 	effMu sync.Mutex
-	// effMemo caches CallEffects per call instruction (method calls
-	// combine their dispatch targets' summaries; RLE's dataflow re-asks
-	// per iteration).
-	effMemo map[*ir.Instr]*Effects
+	// effMemo caches the combined effects of method calls by what
+	// dispatch reads, the static receiver type and the method name, so
+	// copies of a call instruction (every rewrite of a block copies its
+	// instructions) share one entry and the memo never holds pointers
+	// into instruction arrays a pass replaced.
+	effMemo map[dispatchKey]*Effects
+	// undefined is the one summary every call to a procedure the program
+	// does not define answers with; built on first use.
+	undefined *Effects
 	// freshStores marks, per procedure, the store instructions whose
 	// target object is provably allocated during the procedure's own
 	// invocation (see freshness.go); they are invisible to callers.
@@ -375,51 +382,66 @@ func (mr *ModRef) dispatch(in *ir.Instr, filtered bool) []*ir.Proc {
 	return out
 }
 
-// CallEffects returns the combined effects of a call instruction
-// (OpCall or OpMethodCall), memoized per instruction. Safe for
-// concurrent callers: the summaries themselves are immutable once
-// computed, so only the memo map needs the lock.
-func (mr *ModRef) CallEffects(in *ir.Instr) *Effects {
-	mr.effMu.Lock()
-	if eff, ok := mr.effMemo[in]; ok {
-		mr.effMu.Unlock()
-		return eff
-	}
-	mr.effMu.Unlock()
-	eff := mr.callEffects(in)
-	mr.effMu.Lock()
-	if prior, ok := mr.effMemo[in]; ok {
-		eff = prior // keep one canonical summary per call
-	} else {
-		mr.effMemo[in] = eff
-	}
-	mr.effMu.Unlock()
-	return eff
+// dispatchKey identifies a method call by everything dispatch reads.
+type dispatchKey struct {
+	recv   types.Type
+	method string
 }
 
-func (mr *ModRef) callEffects(in *ir.Instr) *Effects {
+// CallEffects returns the combined effects of a call instruction
+// (OpCall or OpMethodCall). A direct call answers with its callee's
+// summary; a method call's combination over its dispatch targets is
+// memoized per (receiver type, method), so every copy of a call gets
+// the same *Effects. Safe for concurrent callers: the summaries
+// themselves are immutable once computed, so only the memo needs the
+// lock.
+func (mr *ModRef) CallEffects(in *ir.Instr) *Effects {
 	switch in.Op {
 	case ir.OpCall:
 		if callee := mr.prog.ProcByName[in.Callee]; callee != nil {
 			return mr.byProc[callee]
 		}
-		if mr.cfg.RTA {
-			// An undefined callee could do anything: sound top.
-			return &Effects{ModGlobals: map[*ir.Var]bool{}, Top: true}
+		mr.effMu.Lock()
+		defer mr.effMu.Unlock()
+		if mr.undefined == nil {
+			// Under RTA an undefined callee could do anything: sound top.
+			mr.undefined = &Effects{ModGlobals: map[*ir.Var]bool{}, Top: mr.cfg.RTA}
 		}
+		return mr.undefined
 	case ir.OpMethodCall:
-		combined := &Effects{ModGlobals: make(map[*ir.Var]bool)}
-		seen := make(map[*Effects]bool)
-		for _, callee := range mr.Dispatch(in) {
-			if sum := mr.byProc[callee]; !seen[sum] {
-				seen[sum] = true
-				combined.absorb(sum)
-			}
+		key := dispatchKey{in.RecvType, in.Method}
+		mr.effMu.Lock()
+		eff, ok := mr.effMemo[key]
+		mr.effMu.Unlock()
+		if ok {
+			return eff
 		}
-		combined.materialize(mr.shapes)
-		return combined
+		eff = mr.methodEffects(in)
+		mr.effMu.Lock()
+		if prior, ok := mr.effMemo[key]; ok {
+			eff = prior // keep one canonical summary per key
+		} else {
+			mr.effMemo[key] = eff
+		}
+		mr.effMu.Unlock()
+		return eff
 	}
 	return &Effects{ModGlobals: map[*ir.Var]bool{}}
+}
+
+// methodEffects combines the summaries of a method call's dispatch
+// targets.
+func (mr *ModRef) methodEffects(in *ir.Instr) *Effects {
+	combined := &Effects{ModGlobals: make(map[*ir.Var]bool)}
+	seen := make(map[*Effects]bool)
+	for _, callee := range mr.Dispatch(in) {
+		if sum := mr.byProc[callee]; !seen[sum] {
+			seen[sum] = true
+			combined.absorb(sum)
+		}
+	}
+	combined.materialize(mr.shapes)
+	return combined
 }
 
 // StoreKills reports whether a store to dst invalidates the value of

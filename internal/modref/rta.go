@@ -60,7 +60,7 @@ func ComputeWith(prog *ir.Program, cfg Config) *ModRef {
 		byProc:  make(map[*ir.Proc]*Effects, len(prog.Procs)),
 		direct:  make(map[*ir.Proc]*Effects, len(prog.Procs)),
 		callees: make(map[*ir.Proc][]*ir.Proc, len(prog.Procs)),
-		effMemo: make(map[*ir.Instr]*Effects),
+		effMemo: make(map[dispatchKey]*Effects),
 		shapes:  newShapeTab(),
 		fp:      modrefFPOf(prog),
 	}

@@ -191,7 +191,7 @@ func FromSnapshot(prog *ir.Program, cfg Config, idx *ir.APIndex, snap *Snapshot)
 		cfg:     cfg,
 		byProc:  make(map[*ir.Proc]*Effects, len(prog.Procs)),
 		callees: make(map[*ir.Proc][]*ir.Proc, len(prog.Procs)),
-		effMemo: make(map[*ir.Instr]*Effects),
+		effMemo: make(map[dispatchKey]*Effects),
 		shapes:  newShapeTab(),
 		fp:      modrefFPOf(prog),
 	}

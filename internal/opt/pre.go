@@ -5,6 +5,7 @@ import (
 	"tbaa/internal/cfg"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
+	"tbaa/internal/par"
 )
 
 // PREResult reports what partial redundancy elimination did.
@@ -27,13 +28,28 @@ type PREResult struct {
 // re-materialized from variables are candidates: paths whose base
 // operand is a variable and whose subscripts are variables or constants.
 // Critical edges are split so insertions do not lengthen unrelated paths.
+//
+// Both phases run their per-procedure work across GOMAXPROCS workers,
+// under the same contract as RLE: the oracle and the summaries must be
+// safe for concurrent queries, and the result, the rewritten program
+// and the procedures stamped by the one closing Program.MarkMutated
+// call do not depend on GOMAXPROCS.
 func PRE(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) PREResult {
+	inserted := make([]int, len(prog.Procs))
+	par.Do(len(prog.Procs), func(i int) { inserted[i] = preProc(prog, prog.Procs[i], o, mr) })
+	eliminated := make([]int, len(prog.Procs))
+	par.Do(len(prog.Procs), func(i int) { eliminated[i] = cseLoads(prog, prog.Procs[i], o, mr) })
 	var res PREResult
-	for _, p := range prog.Procs {
-		res.Inserted += preProc(prog, p, o, mr)
+	var changed []*ir.Proc
+	for i, p := range prog.Procs {
+		res.Inserted += inserted[i]
+		res.Eliminated += eliminated[i]
+		if inserted[i] > 0 || eliminated[i] > 0 {
+			changed = append(changed, p)
+		}
 	}
-	for _, p := range prog.Procs {
-		res.Eliminated += cseLoads(prog, p, o, mr)
+	if len(changed) > 0 {
+		prog.MarkMutated(changed...)
 	}
 	return res
 }
@@ -275,7 +291,6 @@ func preProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) in
 	}
 	p.ComputeCFGEdges()
 	if inserted > 0 {
-		prog.MarkMutated(p)
 		alias.InvalidateFlow(o, p)
 	}
 	return inserted

@@ -11,6 +11,7 @@ import (
 	"tbaa/internal/cfg"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
+	"tbaa/internal/par"
 )
 
 // RLEResult reports what RLE removed.
@@ -29,47 +30,84 @@ func (r RLEResult) Removed() int { return r.Hoisted + r.Eliminated }
 
 // RLE runs redundant load elimination over every procedure, using the
 // given alias oracle and mod-ref summaries to decide what stores and
-// calls kill. It mutates the program.
+// calls kill. It mutates the program and stamps every procedure it
+// changed with one Program.MarkMutated call.
+//
+// Procedures are optimized concurrently, across GOMAXPROCS workers. A
+// procedure's rewrite reads only shared state that stays immutable
+// during the pass (the oracle's partition and TypeRefsTable, the
+// mod-ref summaries, AddressTakenVars) and writes only its own blocks,
+// locals and flow facts, so the oracle and the summaries must be safe
+// for concurrent queries (alias.Analysis and modref.ModRef are). The
+// result, the rewritten program and the set of stamped procedures do
+// not depend on GOMAXPROCS.
 func RLE(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) RLEResult {
+	per := make([]procResult, len(prog.Procs))
+	par.Do(len(prog.Procs), func(i int) { per[i] = rleProc(prog, prog.Procs[i], o, mr) })
 	res := RLEResult{PerProc: make(map[string]int)}
-	for _, p := range prog.Procs {
-		r := rleProc(prog, p, o, mr)
-		res.Hoisted += r.Hoisted
-		res.Eliminated += r.Eliminated
-		if n := r.Hoisted + r.Eliminated; n > 0 {
+	var changed []*ir.Proc
+	for i, p := range prog.Procs {
+		r := per[i]
+		res.Hoisted += r.hoisted
+		res.Eliminated += r.eliminated
+		if n := r.hoisted + r.eliminated; n > 0 {
 			res.PerProc[p.Name] = n
 		}
+		if r.changed {
+			changed = append(changed, p)
+		}
+	}
+	if len(changed) > 0 {
+		prog.MarkMutated(changed...)
 	}
 	return res
 }
 
-func rleProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) RLEResult {
-	var res RLEResult
-	res.Hoisted = hoistLoads(prog, p, o, mr)
-	res.Eliminated = cseLoads(prog, p, o, mr)
+// procResult is one procedure's share of a pass. changed reports
+// whether its body was rewritten; the pass stamps it after the
+// workers join, because the program's mutation clock is not safe for
+// concurrent use.
+type procResult struct {
+	hoisted, eliminated int
+	changed             bool
+}
+
+func rleProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) procResult {
+	var res procResult
+	res.hoisted, res.changed = hoistLoads(prog, p, o, mr)
+	res.eliminated = cseLoads(prog, p, o, mr)
+	res.changed = res.changed || res.eliminated > 0
 	return res
 }
 
 // ---------------------------------------------------------------------------
 // Loop-invariant load motion
 
-func hoistLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) int {
+// hoistLoads moves loop-invariant loads to preheaders and reports how
+// many source-level loads moved and whether the body changed (a
+// preheader insertion changes it even when nothing moves).
+func hoistLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) (int, bool) {
 	p.ComputeCFGEdges()
 	dom := cfg.ComputeDominators(p)
 	loops := cfg.FindLoops(p, dom)
 	if len(loops) == 0 {
-		return 0
+		return 0, false
 	}
-	nBlocks := len(p.Blocks)
-	for _, l := range loops {
+	changed := false
+	ensurePreheader := func(l *cfg.Loop) {
+		nBlocks := len(p.Blocks)
 		cfg.EnsurePreheader(p, l)
+		if len(p.Blocks) != nBlocks {
+			changed = true
+			alias.InvalidateFlow(o, p)
+		}
 	}
-	if len(p.Blocks) != nBlocks {
-		prog.MarkMutated(p)
-		alias.InvalidateFlow(o, p)
+	for _, l := range loops {
+		ensurePreheader(l)
 	}
 	// Preheader insertion changed the CFG; recompute.
 	dom = cfg.ComputeDominators(p)
+	domBlocks := len(p.Blocks)
 	loops = cfg.FindLoops(p, dom)
 	// Innermost first so hoisted loads can cascade outward.
 	ordered := make([]*cfg.Loop, len(loops))
@@ -83,18 +121,19 @@ func hoistLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef)
 	}
 	total := 0
 	for _, l := range ordered {
-		nBlocks = len(p.Blocks)
-		cfg.EnsurePreheader(p, l)
-		if len(p.Blocks) != nBlocks {
-			prog.MarkMutated(p)
-			alias.InvalidateFlow(o, p)
+		ensurePreheader(l)
+		if n := hoistFromLoop(prog, p, l, dom, o, mr); n > 0 {
+			total += n
+			changed = true
 		}
-		total += hoistFromLoop(prog, p, l, dom, o, mr)
-		// Moving instructions does not change block structure, but new
-		// preheaders might have; recompute dominators defensively.
-		dom = cfg.ComputeDominators(p)
+		// Moving instructions does not change block structure, but a new
+		// preheader does (EnsurePreheader only appends blocks).
+		if len(p.Blocks) != domBlocks {
+			dom = cfg.ComputeDominators(p)
+			domBlocks = len(p.Blocks)
+		}
 	}
-	return total
+	return total, changed
 }
 
 type loopEnv struct {
@@ -194,14 +233,18 @@ func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominator
 	if len(toMove) == 0 {
 		return 0
 	}
-	// Remove the moved instructions from their blocks.
+	// Remove the moved instructions from their blocks. Only blocks that
+	// lose an instruction get a new array; moveSet membership is by
+	// pointer, captured before any rebuild.
 	moveSet := make(map[*ir.Instr]bool, len(toMove))
+	lost := make(map[*ir.Block]int)
 	for _, in := range toMove {
 		moveSet[in] = true
+		lost[env.defBlock[in]]++
 	}
 	movedCopies := make(map[*ir.Instr]ir.Instr, len(toMove))
-	for b := range l.Blocks {
-		kept := b.Instrs[:0]
+	for b, n := range lost {
+		kept := make([]ir.Instr, 0, len(b.Instrs)-n)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if moveSet[in] {
@@ -212,10 +255,7 @@ func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominator
 			}
 			kept = append(kept, *in)
 		}
-		// Rebuilding the slice invalidates interior pointers for this
-		// block; that is fine because moveSet membership was by pointer
-		// captured before the rebuild.
-		b.Instrs = append([]ir.Instr{}, kept...)
+		b.Instrs = kept
 	}
 	// Insert at the end of the preheader, before its terminator, in
 	// dependency order.
@@ -227,7 +267,6 @@ func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominator
 	}
 	ph.Instrs = append(body, term)
 	// The rebuilt instruction slices orphan any per-statement flow facts.
-	env.prog.MarkMutated(p)
 	alias.InvalidateFlow(env.o, p)
 	return sourceHoisted
 }
@@ -380,24 +419,24 @@ type apClass struct {
 	shadow *ir.Var // lazily allocated
 }
 
+// cseLoads removes loads whose path is available on every incoming
+// path and reports how many it removed. Only blocks holding a removed
+// load or a gen that must feed a shadow variable are rewritten.
 func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) int {
 	p.ComputeCFGEdges()
-	// 1. Collect classes.
+	rpo := cfg.ReversePostorder(p)
+	// 1. Collect classes. gen[b][i] is the class instruction i of b
+	// generates, or -1.
 	var classes []*apClass
-	classOf := func(ap *ir.AP) int {
+	classOf := func(ap *ir.AP) int32 {
 		for i, c := range classes {
 			if c.ap.Equal(ap) {
-				return i
+				return int32(i)
 			}
 		}
 		classes = append(classes, &apClass{ap: ap})
-		return len(classes) - 1
+		return int32(len(classes) - 1)
 	}
-	type siteKey struct {
-		b   *ir.Block
-		idx int
-	}
-	genClass := make(map[siteKey]int)
 	isCandidate := func(in *ir.Instr) bool {
 		switch in.Op {
 		case ir.OpLoad:
@@ -407,13 +446,22 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 		}
 		return false
 	}
+	nInstrs := 0
 	for _, b := range p.Blocks {
+		nInstrs += len(b.Instrs)
+	}
+	flat := make([]int32, nInstrs)
+	gen := make(map[*ir.Block][]int32, len(p.Blocks))
+	for _, b := range p.Blocks {
+		g := flat[:len(b.Instrs):len(b.Instrs)]
+		flat = flat[len(b.Instrs):]
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if isCandidate(in) {
-				genClass[siteKey{b, i}] = classOf(in.AP)
+			g[i] = -1
+			if in := &b.Instrs[i]; isCandidate(in) {
+				g[i] = classOf(in.AP)
 			}
 		}
+		gen[b] = g
 	}
 	if len(classes) == 0 {
 		return 0
@@ -467,11 +515,12 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 		}
 	}
 	// 2. Per-block gen/out sets via abstract execution.
-	transfer := func(b *ir.Block, avail []bool, onRedundant func(idx int, cls int)) {
+	transfer := func(b *ir.Block, avail []bool, onRedundant func(idx int, cls int32)) {
+		g := gen[b]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			cls, isGen := genClass[siteKey{b, i}]
-			if (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) && isGen {
+			cls := g[i]
+			if cls >= 0 && (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) {
 				if avail[cls] && onRedundant != nil {
 					onRedundant(i, cls)
 				}
@@ -479,54 +528,58 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 				continue
 			}
 			kills(avail, in)
-			if isGen {
+			if cls >= 0 {
 				// Stores make their own path available (store-to-load
 				// forwarding).
 				avail[cls] = true
 			}
 		}
 	}
-	rpo := cfg.ReversePostorder(p)
-	availIn := make(map[*ir.Block][]bool, len(rpo))
-	availOut := make(map[*ir.Block][]bool, len(rpo))
-	for _, b := range rpo {
-		availIn[b] = make([]bool, n)
-		availOut[b] = make([]bool, n)
-		top := b != p.Entry
-		for i := 0; i < n; i++ {
-			availOut[b][i] = top
+	// availIn[k] and availOut[k] belong to rpo[k]; order maps a block to
+	// its position (unreachable predecessors have none).
+	order := make(map[*ir.Block]int, len(rpo))
+	for k, b := range rpo {
+		order[b] = k
+	}
+	availIn := make([][]bool, len(rpo))
+	availOut := make([][]bool, len(rpo))
+	cells := make([]bool, 2*n*len(rpo))
+	for k, b := range rpo {
+		availIn[k], availOut[k] = cells[:n:n], cells[n:2*n:2*n]
+		cells = cells[2*n:]
+		if b != p.Entry {
+			for i := range availOut[k] {
+				availOut[k][i] = true
+			}
 		}
 	}
-	changed := true
-	for changed {
+	out := make([]bool, n)
+	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			in := availIn[b]
+		for k, b := range rpo {
+			in := availIn[k]
 			if b == p.Entry {
-				for i := range in {
-					in[i] = false
-				}
+				clear(in)
 			} else {
-				for i := 0; i < n; i++ {
+				for i := range in {
 					in[i] = true
 				}
 				for _, pred := range b.Preds {
-					po := availOut[pred]
-					if po == nil {
+					j, ok := order[pred]
+					if !ok {
 						continue
 					}
-					for i := 0; i < n; i++ {
-						if !po[i] {
+					for i, v := range availOut[j] {
+						if !v {
 							in[i] = false
 						}
 					}
 				}
 			}
-			out := make([]bool, n)
 			copy(out, in)
 			transfer(b, out, nil)
-			if !boolsEqual(out, availOut[b]) {
-				availOut[b] = out
+			if !boolsEqual(out, availOut[k]) {
+				copy(availOut[k], out)
 				changed = true
 			}
 		}
@@ -536,21 +589,24 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 		b   *ir.Block
 		idx int
 	}
-	redundant := make(map[redKey]int)
-	needShadow := make(map[int]bool)
-	for _, b := range rpo {
-		avail := make([]bool, n)
-		copy(avail, availIn[b])
-		transfer(b, avail, func(idx, cls int) {
+	redundant := make(map[redKey]int32)
+	needShadow := make([]bool, n)
+	touched := make(map[*ir.Block]bool)
+	for k, b := range rpo {
+		copy(out, availIn[k])
+		transfer(b, out, func(idx int, cls int32) {
 			redundant[redKey{b, idx}] = cls
 			needShadow[cls] = true
+			touched[b] = true
 		})
 	}
 	if len(redundant) == 0 {
 		return 0
 	}
-	for cls := range needShadow {
-		c := classes[cls]
+	for cls, c := range classes {
+		if !needShadow[cls] {
+			continue
+		}
 		c.shadow = &ir.Var{
 			Name: fmt.Sprintf("$rle%d", cls),
 			Type: c.ap.Type(),
@@ -559,13 +615,25 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 		}
 		p.Locals = append(p.Locals, c.shadow)
 	}
-	// 4. Rewrite.
+	// 4. Rewrite the blocks holding a redundant load or a gen whose
+	// class feeds a shadow; every other block keeps its array.
 	for _, b := range rpo {
-		var out []ir.Instr
+		g := gen[b]
+		inserts := 0
+		for i, cls := range g {
+			if cls < 0 || !needShadow[cls] {
+				continue
+			}
+			if _, isRed := redundant[redKey{b, i}]; !isRed {
+				inserts++
+			}
+		}
+		if inserts == 0 && !touched[b] {
+			continue
+		}
+		out := make([]ir.Instr, 0, len(b.Instrs)+inserts)
 		for i := range b.Instrs {
-			in := b.Instrs[i]
-			key := siteKey{b, i}
-			cls, isGen := genClass[key]
+			in := &b.Instrs[i]
 			if rcls, isRed := redundant[redKey{b, i}]; isRed {
 				// Replace the load with a copy from the shadow variable.
 				out = append(out, ir.Instr{
@@ -575,8 +643,8 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 				})
 				continue
 			}
-			out = append(out, in)
-			if isGen && needShadow[cls] {
+			out = append(out, *in)
+			if cls := g[i]; cls >= 0 && needShadow[cls] {
 				sh := classes[cls].shadow
 				switch in.Op {
 				case ir.OpLoad, ir.OpLoadVarField:
@@ -590,7 +658,6 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 		}
 		b.Instrs = out
 	}
-	prog.MarkMutated(p)
 	alias.InvalidateFlow(o, p)
 	return len(redundant)
 }
@@ -605,28 +672,4 @@ func boolsEqual(a, b []bool) bool {
 		}
 	}
 	return true
-}
-
-// HoistOnly runs just the loop-invariant motion phase (for debugging and
-// ablation benches).
-func HoistOnly(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) int {
-	n := 0
-	for _, p := range prog.Procs {
-		n += hoistLoads(prog, p, o, mr)
-	}
-	return n
-}
-
-// CSEOnly runs just the available-load elimination phase.
-func CSEOnly(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) int {
-	n := 0
-	for _, p := range prog.Procs {
-		n += cseLoads(prog, p, o, mr)
-	}
-	return n
-}
-
-// HoistOnlyProc hoists within a single procedure (debugging helper).
-func HoistOnlyProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) int {
-	return hoistLoads(prog, p, o, mr)
 }
