@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke vet fmt fmt-check golden golden-fs bench-fs golden-ip bench-ip bench-perf-json bench-perf bench-baseline bench-scale bench-scale-full bench-scale-baseline tbaad-smoke tbaad-chaos profile cover api api-check examples ci
+.PHONY: build test test-race bench bench-smoke vet fmt fmt-check golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-baseline bench-scale bench-scale-full bench-scale-baseline tbaad-smoke tbaad-chaos profile cover api api-check examples ci
 
 build:
 	$(GO) build ./...
@@ -54,12 +54,6 @@ golden-ip: build
 
 bench-ip: build
 	$(GO) run ./cmd/tbaabench -ipjson BENCH_ip.json
-
-# The per-PR query-performance artifact CI uploads: ns/op and allocs/op
-# for MayAlias, MayAliasBatch, and CountPairs at every level on the
-# largest stock benchmark.
-bench-perf-json: build
-	$(GO) run ./cmd/tbaabench -perfjson BENCH_perf.json
 
 # The tracked perf gate: run the tier-1 query benchmarks -count times
 # and fail on >20% ns/op regression against the committed baseline.
@@ -154,4 +148,4 @@ examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-ci: build vet fmt-check test-race bench-smoke golden golden-fs bench-fs golden-ip bench-ip bench-perf-json bench-perf bench-scale tbaad-smoke tbaad-chaos cover api-check examples
+ci: build vet fmt-check test-race bench-smoke golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-scale tbaad-smoke tbaad-chaos cover api-check examples

@@ -243,8 +243,8 @@ func procPaths(p *ir.Proc, fn func(name string, ap *ir.AP)) {
 // bookkeeping ApplyEdit keeps; only ApplyEdit updates it by delta.
 // With no intervening mutation (ApplyEdit, or a pass pipeline step)
 // the rebuilt snapshot answers exactly as the old one; Invalidate then
-// merely drops accumulated memo and flow state, its original role for
-// long-lived embedders.
+// merely drops accumulated flow facts and lazily built state, its
+// original role for long-lived embedders.
 func (a *Analyzer) Invalidate() {
 	a.mu.Lock()
 	defer a.mu.Unlock()

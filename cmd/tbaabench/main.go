@@ -12,7 +12,6 @@
 //	tbaabench -parallel 1        # force the sequential path
 //	tbaabench -fsjson BENCH_fs.json  # write the Table FS JSON artifact
 //	tbaabench -ipjson BENCH_ip.json  # write the Table IP JSON artifact
-//	tbaabench -perfjson BENCH_perf.json  # measure and write the query-perf artifact
 //	tbaabench -scalejson BENCH_scale.json            # trimmed scale sweep (two sizes)
 //	tbaabench -scalejson BENCH_scale.json -scalesweep full  # nightly full sweep
 //	tbaabench -cpuprofile cpu.out -table 5  # pprof evidence for perf PRs
@@ -41,7 +40,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = sequential)")
 	fsJSON := flag.String("fsjson", "", "write the Table FS metrics as JSON to `file` (- for stdout)")
 	ipJSON := flag.String("ipjson", "", "write the Table IP metrics as JSON to `file` (- for stdout)")
-	perfJSON := flag.String("perfjson", "", "measure query perf (MayAlias, MayAliasBatch, CountPairs per level) and write JSON to `file` (- for stdout)")
 	scaleJSON := flag.String("scalejson", "", "run the scale corpus sweep (generated 10k-100k-line modules × levels) and write JSON to `file` (- for stdout)")
 	scaleSweep := flag.String("scalesweep", "trim", "scale sweep size: trim (per-PR, two sizes) or full (nightly, three sizes)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
@@ -121,22 +119,6 @@ func main() {
 		}
 		if *scaleJSON != "-" {
 			tbaa.FprintScale(os.Stdout, rows)
-		}
-		if tableIdx == 0 && *figure == 0 && *fsJSON == "" && *ipJSON == "" && *perfJSON == "" {
-			return
-		}
-	}
-
-	if *perfJSON != "" {
-		rows, err := tbaa.MeasurePerf()
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeJSONArtifact(*perfJSON, rows, tbaa.WritePerfJSON); err != nil {
-			fatal(err)
-		}
-		if *perfJSON != "-" {
-			tbaa.FprintPerf(os.Stdout, rows)
 		}
 		if tableIdx == 0 && *figure == 0 && *fsJSON == "" && *ipJSON == "" {
 			return

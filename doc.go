@@ -34,11 +34,11 @@
 //   - SMFieldTypeRefs (Section 2.4, the default): FieldTypeDecl with
 //     TypeDecl replaced by selective type merging over the program's
 //     pointer assignments (Figure 2) — the paper's headline analysis.
-//   - FSTypeRefs (extension; also WithFlowSensitive): SMFieldTypeRefs
+//   - FSTypeRefs (extension): SMFieldTypeRefs
 //     refined by an intraprocedural reaching-stores dataflow that
 //     narrows, per statement, the set of allocated types each pointer
 //     variable may reference.
-//   - IPTypeRefs (extension; also WithInterprocedural): FSTypeRefs
+//   - IPTypeRefs (extension): FSTypeRefs
 //     extended with interprocedural mod-ref summaries over a Rapid
 //     Type Analysis call graph, so calls kill only what their possible
 //     callees may actually modify.
@@ -171,8 +171,8 @@
 // Analyzers lazily per requested configuration, and serves
 // MayAlias/MayAliasBatch/CountPairs to any number of concurrent
 // clients with bounded memory (LRU module eviction), load shedding,
-// per-request timeouts, and Prometheus metrics that share their op
-// vocabulary with the BENCH_perf.json artifact. Re-uploading a module
+// per-request timeouts, and Prometheus metrics over the shared
+// internal/metrics op vocabulary. Re-uploading a module
 // swaps its compiled state atomically: requests in flight finish on
 // the generation they resolved. cmd/tbaactl is the matching client;
 // see README.md "Running the analysis server".

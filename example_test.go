@@ -66,8 +66,8 @@ func ExampleModule_NewAnalyzer() {
 	// SMFieldTypeRefs s.f~u.f=false
 }
 
-// MayAliasBatch amortizes lock and memo traffic over many queries and
-// honors context cancellation between pairs.
+// MayAliasBatch answers many queries against one snapshot and honors
+// context cancellation between pairs.
 func ExampleAnalyzer_MayAliasBatch() {
 	a, err := tbaa.New("quick.m3", exampleSrc, tbaa.WithLevel(tbaa.SMFieldTypeRefs))
 	if err != nil {

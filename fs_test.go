@@ -2,7 +2,6 @@ package tbaa_test
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 
@@ -34,8 +33,7 @@ END FS.
 `
 
 // TestFSTypeRefsLevel pins the public surface of the new level: the
-// name, parsing, both option spellings, and the validation of the
-// FlowSensitive/level interplay.
+// name, parsing, and WithLevel.
 func TestFSTypeRefsLevel(t *testing.T) {
 	if got := tbaa.FSTypeRefs.String(); got != "FSTypeRefs" {
 		t.Errorf("FSTypeRefs.String() = %q", got)
@@ -52,19 +50,6 @@ func TestFSTypeRefsLevel(t *testing.T) {
 	}
 	if a.Level() != tbaa.FSTypeRefs || a.Name() != "FSTypeRefs" {
 		t.Errorf("Level() = %v, Name() = %q", a.Level(), a.Name())
-	}
-	// WithFlowSensitive on the default level is the same configuration.
-	b, err := tbaa.New("fs.m3", fsSrc, tbaa.WithFlowSensitive(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Level() != tbaa.FSTypeRefs {
-		t.Errorf("WithFlowSensitive(true) level = %v, want FSTypeRefs", b.Level())
-	}
-	// The refinement needs a TypeRefsTable: lower levels are rejected.
-	_, err = tbaa.New("fs.m3", fsSrc, tbaa.WithLevel(tbaa.TypeDecl), tbaa.WithFlowSensitive(true))
-	if err == nil || !strings.Contains(err.Error(), "flow-sensitive") {
-		t.Errorf("TypeDecl + WithFlowSensitive(true) = %v, want a descriptive error", err)
 	}
 }
 

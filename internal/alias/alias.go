@@ -76,59 +76,17 @@ type Options struct {
 	// that maintains a separate group per type (directed propagation)
 	// instead of union-find equivalence classes. More precise, slower.
 	PerTypeGroups bool
-	// FlowSensitive layers the intraprocedural flow-sensitive refinement
-	// on top of SMFieldTypeRefs; setting it is equivalent to selecting
-	// LevelFSTypeRefs. It requires Level >= LevelSMFieldTypeRefs (the
-	// refinement narrows TypeRefsTable rows, which lower levels lack).
-	FlowSensitive bool
-	// Interprocedural layers RTA-call-graph mod-ref summaries on top of
-	// the flow-sensitive refinement; setting it is equivalent to
-	// selecting LevelIPTypeRefs (it implies FlowSensitive). Like
-	// FlowSensitive it requires Level >= LevelSMFieldTypeRefs. The
-	// summaries themselves are owned by the pass environment, which
-	// wires them in through SetCallSummaries; until then the call-kill
-	// rule stays the FSTypeRefs kill-everything rule.
-	Interprocedural bool
 }
 
 // Validate reports whether the options describe a buildable analysis:
 // the level must be in range (an out-of-range Level would otherwise
-// silently degrade to FieldTypeDecl behavior in MayAlias), and the
-// flow-sensitive refinement needs a TypeRefsTable to narrow.
+// silently degrade to FieldTypeDecl behavior in MayAlias).
 func (o Options) Validate() error {
 	if o.Level < LevelTypeDecl || o.Level > LevelIPTypeRefs {
 		return fmt.Errorf("alias: level %d out of range (valid: %d=TypeDecl, %d=FieldTypeDecl, %d=SMFieldTypeRefs, %d=FSTypeRefs, %d=IPTypeRefs)",
 			int(o.Level), int(LevelTypeDecl), int(LevelFieldTypeDecl), int(LevelSMFieldTypeRefs), int(LevelFSTypeRefs), int(LevelIPTypeRefs))
 	}
-	if o.FlowSensitive && o.Level < LevelSMFieldTypeRefs {
-		return fmt.Errorf("alias: flow-sensitive refinement requires level %v or above, have %v",
-			LevelSMFieldTypeRefs, o.Level)
-	}
-	if o.Interprocedural && o.Level < LevelSMFieldTypeRefs {
-		return fmt.Errorf("alias: interprocedural mod-ref requires level %v or above, have %v",
-			LevelSMFieldTypeRefs, o.Level)
-	}
 	return nil
-}
-
-// Normalize returns o with the spellings of the flow-sensitive and
-// interprocedural configurations folded together: LevelFSTypeRefs
-// implies FlowSensitive, LevelIPTypeRefs implies FlowSensitive and
-// Interprocedural, and the flags on lower (but at least
-// SMFieldTypeRefs) levels select the corresponding level.
-func (o Options) Normalize() Options {
-	switch o.Level {
-	case LevelIPTypeRefs:
-		o.FlowSensitive, o.Interprocedural = true, true
-	case LevelFSTypeRefs:
-		o.FlowSensitive = true
-	}
-	if o.Interprocedural && o.Level >= LevelSMFieldTypeRefs {
-		o.Level, o.FlowSensitive = LevelIPTypeRefs, true
-	} else if o.FlowSensitive && o.Level == LevelSMFieldTypeRefs {
-		o.Level = LevelFSTypeRefs
-	}
-	return o
 }
 
 // Oracle answers may-alias queries over symbolic access paths. All the
@@ -143,11 +101,10 @@ type Oracle interface {
 
 // Analysis is a built TBAA instance for one program. Once constructed
 // it is safe for concurrent queries: the partition oracle and the
-// AddressTaken tables are immutable, the MayAlias memo is a sharded
-// cache, and the flow-sensitive layer builds per-procedure facts behind
-// its own synchronization. Construction itself (New) interns access
-// paths into the program and must not run concurrently with another New
-// over the same Program.
+// AddressTaken tables are immutable, and the flow-sensitive layer
+// builds per-procedure facts behind its own synchronization.
+// Construction itself (New) interns access paths into the program and
+// must not run concurrently with another New over the same Program.
 type Analysis struct {
 	prog *ir.Program
 	u    *types.Universe
@@ -164,11 +121,6 @@ type Analysis struct {
 	// field of that name has its address taken. AddressTaken consults it
 	// instead of scanning every recorded fact per query.
 	addrOwners map[string][]types.Type
-	// memo caches answers for the expensive MayAlias cases (the ones
-	// that run AddressTaken), keyed by the AP pointer pair in the
-	// orientation produced by fieldTypeDecl's rank normalization —
-	// identical for both query orders, so one entry is order-insensitive.
-	memo *memoCache
 	// apIdx holds the program's interned access paths and canonical
 	// prefix chains (built in New; see ir.InternAPs).
 	apIdx *ir.APIndex
@@ -188,11 +140,6 @@ type Analysis struct {
 	// layer's call-kill rule (LevelIPTypeRefs; see SetCallSummaries).
 	// While nil, calls kill every flow fact — the FSTypeRefs rule.
 	summaries CallSummaries
-	// prefixMu/prefixCache memoize StoreKills' proper-prefix APs for
-	// paths the intern index has no canonical chain for (paths
-	// materialized after construction); interned paths use apIdx.
-	prefixMu    sync.RWMutex
-	prefixCache map[*ir.AP][]*ir.AP
 	// fp witnesses the global fact tables this build consumed; Update
 	// compares it against the program's current tables to decide whether
 	// the context-free structures are reusable (see incremental.go).
@@ -216,34 +163,43 @@ func newAnalysis(prog *ir.Program, opts Options, usePartition bool) *Analysis {
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
-	opts = opts.Normalize()
+	var typeRefs []types.Bitset
+	if opts.Level >= LevelSMFieldTypeRefs {
+		if opts.PerTypeGroups {
+			typeRefs = buildTypeRefsPerType(prog, opts.OpenWorld)
+		} else {
+			typeRefs = buildTypeRefsUnionFind(prog, opts.OpenWorld)
+		}
+	}
+	a := newBase(prog, opts, typeRefs)
+	a.noPart = !usePartition
+	if usePartition {
+		a.apIdx = ir.InternAPs(prog)
+	}
+	return a
+}
+
+// newBase returns an Analysis over prog holding what every construction
+// path derives the same way: the AddressTaken indexes, the flow layer
+// (LevelFSTypeRefs and above), and the fingerprint of the global facts.
+// The caller supplies the TypeRefsTable and the intern index.
+func newBase(prog *ir.Program, opts Options, typeRefs []types.Bitset) *Analysis {
 	a := &Analysis{
 		prog:       prog,
 		u:          prog.Universe,
 		opts:       opts,
+		typeRefs:   typeRefs,
 		addrFields: prog.AddressTakenFields,
 		addrElems:  prog.AddressTakenElems,
 		addrOwners: make(map[string][]types.Type, len(prog.AddressTakenFields)),
-		memo:       newMemoCache(),
-		noPart:     !usePartition,
+		fp:         fingerprintOf(prog),
 	}
 	for key := range prog.AddressTakenFields {
 		a.addrOwners[key.Field] = append(a.addrOwners[key.Field], prog.Universe.ByID(key.TypeID))
 	}
-	if opts.Level >= LevelSMFieldTypeRefs {
-		if opts.PerTypeGroups {
-			a.typeRefs = buildTypeRefsPerType(prog, opts.OpenWorld)
-		} else {
-			a.typeRefs = buildTypeRefsUnionFind(prog, opts.OpenWorld)
-		}
-	}
 	if opts.Level >= LevelFSTypeRefs {
 		a.flow = newFlow(a)
 	}
-	if usePartition {
-		a.apIdx = ir.InternAPs(prog)
-	}
-	a.fp = fingerprintOf(prog)
 	return a
 }
 
@@ -258,12 +214,10 @@ func (a *Analysis) Name() string {
 
 // MayAlias implements Oracle. Interned paths (everything occurring in
 // the program, plus the canonical prefixes the kill rules walk) answer
-// through the partition oracle — two ID loads and a bitset test. Paths
-// the partition has never seen fall back to the case analysis, whose
-// cheap cases (a type-set intersection or two) are recomputed every
-// time while the Table 2 cases that run AddressTaken are memoized,
-// because they walk owner-type lists and RLE re-asks them for the same
-// AP pairs throughout its dataflow iteration.
+// through the partition oracle — two ID loads and a bitset test. A path
+// the partition has never seen (one built by hand, or materialized by a
+// mutation the Analysis was not rebuilt for) gets the uncached case
+// analysis.
 func (a *Analysis) MayAlias(p, q *ir.AP) bool {
 	if !a.noPart {
 		part := a.partition()
@@ -279,7 +233,7 @@ func (a *Analysis) MayAlias(p, q *ir.AP) bool {
 // mayAliasCase is the case-analysis verdict (the pre-partition
 // MayAlias): the level's base relation for bare paths, Table 2
 // otherwise. The partition builder calls it on class representatives;
-// queries only reach it for paths materialized after the build.
+// queries only reach it for paths the partition does not classify.
 func (a *Analysis) mayAliasCase(p, q *ir.AP) bool {
 	if a.opts.Level == LevelTypeDecl {
 		return a.typeCompat(p.Type(), q.Type())
@@ -449,30 +403,18 @@ func (a *Analysis) fieldTypeDecl(p, q *ir.AP) bool {
 			return false
 		}
 		return a.typeCompat(prefixType(p), prefixType(q))
-	// Case 3: p.f vs q^ — memoized, AddressTaken is the expensive step.
+	// Case 3: p.f vs q^.
 	case 1: // field-like vs deref
-		k := memoKey{p, q}
-		if v, hit := a.memo.get(k); hit {
-			return v
-		}
-		v := a.AddressTaken(p) && a.typeCompat(p.Type(), q.Type())
-		a.memo.put(k, v)
-		return v
+		return a.AddressTaken(p) && a.typeCompat(p.Type(), q.Type())
 	// Case 5: p.f vs q[i] — never aliases in Modula-3.
 	case 2: // field-like vs index
 		return false
 	// Case 7 (two dereferences): TypeDecl on the paths.
 	case 4: // deref vs deref
 		return a.typeCompat(p.Type(), q.Type())
-	// Case 4: p^ vs q[i] — memoized like case 3.
+	// Case 4: p^ vs q[i].
 	case 5: // deref vs index
-		k := memoKey{p, q}
-		if v, hit := a.memo.get(k); hit {
-			return v
-		}
-		v := a.AddressTaken(q) && a.typeCompat(p.Type(), q.Type())
-		a.memo.put(k, v)
-		return v
+		return a.AddressTaken(q) && a.typeCompat(p.Type(), q.Type())
 	// Case 6: p[i] vs q[j] — ignore the subscripts, compare the arrays.
 	case 8: // index vs index
 		return a.typeCompat(subscriptPrefixType(p), subscriptPrefixType(q))

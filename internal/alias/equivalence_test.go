@@ -203,9 +203,9 @@ func TestBitsetTypeRefsMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestMayAliasMemoStable checks that the memo cache never changes an
-// answer: querying every pair twice (cold then warm), and querying a
-// second independent analysis in a shuffled order, all agree.
+// TestMayAliasMemoStable checks that the lazily built partition never
+// changes an answer: querying every pair twice (cold then warm), and
+// querying a second independent analysis in a shuffled order, all agree.
 func TestMayAliasMemoStable(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -238,7 +238,7 @@ func TestMayAliasMemoStable(t *testing.T) {
 			}
 			for _, pr := range pairs {
 				if a1.MayAlias(pr.p, pr.q) != cold[pr] {
-					t.Fatalf("seed %d %v: warm memo answer differs for %s ~ %s",
+					t.Fatalf("seed %d %v: warm answer differs for %s ~ %s",
 						seed, lvl, pr.p, pr.q)
 				}
 			}

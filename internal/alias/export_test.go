@@ -17,3 +17,26 @@ func NewCaseOnly(prog *ir.Program, opts Options) *Analysis {
 func FlowSet(a *Analysis, v *ir.Var, s Site) types.Bitset {
 	return a.flow.valueSet(v, s)
 }
+
+// Coverage reports whether the partition oracle assigns p an alias
+// class, and whether the intern index holds p's canonical prefix chain
+// with every prefix classified (vacuously true below two selectors).
+// Together they mean MayAlias and StoreKills answer p without reaching
+// the uncached case analysis.
+func Coverage(a *Analysis, p *ir.AP) (classified, chained bool) {
+	part := a.partition()
+	classified = part.classOf(p) >= 0
+	if len(p.Sels) < 2 {
+		return classified, true
+	}
+	pre := a.apIdx.Prefixes(p)
+	if pre == nil {
+		return classified, false
+	}
+	for _, q := range pre {
+		if part.classOf(q) < 0 {
+			return classified, false
+		}
+	}
+	return classified, true
+}

@@ -105,8 +105,8 @@ func (a *Analysis) StoreKills(p *ir.AP, ps Site, dst *ir.AP, qs Site) bool {
 // prefixes returns p's proper prefixes of selector length >= 1. Paths
 // interned at construction answer from the index's canonical chains
 // (shared, pointer-stable, and themselves interned, so the partition
-// oracle serves the kill queries against them); anything else is built
-// on demand behind a lock and cached per path pointer.
+// oracle serves the kill queries against them); anything else gets
+// uninterned prefixes built on demand.
 func (a *Analysis) prefixes(p *ir.AP) []*ir.AP {
 	if len(p.Sels) < 2 {
 		return nil
@@ -116,26 +116,16 @@ func (a *Analysis) prefixes(p *ir.AP) []*ir.AP {
 			return pre
 		}
 	}
-	a.prefixMu.RLock()
-	pre, ok := a.prefixCache[p]
-	a.prefixMu.RUnlock()
-	if ok {
-		return pre
-	}
+	pre := make([]*ir.AP, 0, len(p.Sels)-1)
 	for k := 1; k < len(p.Sels); k++ {
 		pre = append(pre, &ir.AP{Root: p.Root, Sels: p.Sels[:k]})
 	}
-	a.prefixMu.Lock()
-	if a.prefixCache == nil {
-		a.prefixCache = make(map[*ir.AP][]*ir.AP)
-	}
-	a.prefixCache[p] = pre
-	a.prefixMu.Unlock()
 	return pre
 }
 
 // StoreKiller is the optional oracle extension modref.StoreKills
-// dispatches to; Analysis implements it with prefix caching.
+// dispatches to; Analysis implements it over the intern index's
+// canonical prefix chains.
 type StoreKiller interface {
 	StoreKills(p *ir.AP, ps Site, dst *ir.AP, qs Site) bool
 }

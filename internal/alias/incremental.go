@@ -19,7 +19,7 @@ import (
 //
 // The reuse invariants:
 //
-//   - Context-free verdicts (the partition, the memo, typeCompat) depend
+//   - Context-free verdicts (the partition, typeCompat) depend
 //     only on types and the program's global facts — Merges,
 //     AddressTaken*, ByRefFormalTypes, the universe — never on which
 //     instruction carries a path. All of those tables are append-only
@@ -62,10 +62,9 @@ func fingerprintOf(prog *ir.Program) fingerprint {
 // Update builds a new Analysis over old's program after the given
 // procedures' bodies were mutated, reusing every structure the mutation
 // cannot have changed: the TypeRefsTable, the AddressTaken indexes, the
-// sharded memo, the interned identities and alias classes of every
-// surviving path, the compatibility bitmatrix (extended in place with
-// rows for new classes only), and the flow facts of untouched
-// procedures. It returns nil when the delta preconditions do not hold —
+// interned identities and alias classes of every surviving path, the
+// compatibility bitmatrix (extended in place with rows for new classes
+// only), and the flow facts of untouched procedures. It returns nil when the delta preconditions do not hold —
 // the dirty set is empty (an unstamped mutation may be hiding), or a
 // global fact table grew (new merges or address-taken facts can flip
 // verdicts module-wide) — and the caller must fall back to New.
@@ -89,7 +88,6 @@ func Update(old *Analysis, dirty []*ir.Proc) *Analysis {
 		addrFields: old.addrFields,
 		addrElems:  old.addrElems,
 		addrOwners: old.addrOwners,
-		memo:       old.memo,
 		fp:         old.fp,
 	}
 	a.apIdx = ir.ExtendAPs(old.prog, old.apIdx, dirty)

@@ -74,9 +74,6 @@ func TestUpdateSharesUntouchedStructures(t *testing.T) {
 	if a == nil {
 		t.Fatal("Update returned nil for a well-formed delta")
 	}
-	if a.memo != old.memo {
-		t.Error("memo cache not shared")
-	}
 	if len(a.typeRefs) > 0 && &a.typeRefs[0] != &old.typeRefs[0] {
 		t.Error("TypeRefsTable not shared")
 	}

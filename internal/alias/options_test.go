@@ -26,58 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 			}
 		}
 	}
-	// The flow-sensitive refinement needs a TypeRefsTable to narrow.
-	for _, lvl := range []Level{LevelTypeDecl, LevelFieldTypeDecl} {
-		if err := (Options{Level: lvl, FlowSensitive: true}).Validate(); err == nil {
-			t.Errorf("Options{Level: %v, FlowSensitive: true}.Validate() = nil, want error", lvl)
-		}
-	}
-	for _, lvl := range []Level{LevelSMFieldTypeRefs, LevelFSTypeRefs, LevelIPTypeRefs} {
-		if err := (Options{Level: lvl, FlowSensitive: true}).Validate(); err != nil {
-			t.Errorf("Options{Level: %v, FlowSensitive: true}.Validate() = %v, want nil", lvl, err)
-		}
-	}
-	// The interprocedural layer rides on the flow-sensitive refinement
-	// and has the same level floor.
-	for _, lvl := range []Level{LevelTypeDecl, LevelFieldTypeDecl} {
-		if err := (Options{Level: lvl, Interprocedural: true}).Validate(); err == nil {
-			t.Errorf("Options{Level: %v, Interprocedural: true}.Validate() = nil, want error", lvl)
-		}
-	}
-	for _, lvl := range []Level{LevelSMFieldTypeRefs, LevelFSTypeRefs, LevelIPTypeRefs} {
-		if err := (Options{Level: lvl, Interprocedural: true}).Validate(); err != nil {
-			t.Errorf("Options{Level: %v, Interprocedural: true}.Validate() = %v, want nil", lvl, err)
-		}
-	}
-}
-
-// TestOptionsNormalize pins the two spellings of the flow-sensitive
-// configuration onto one canonical form.
-func TestOptionsNormalize(t *testing.T) {
-	n := (Options{Level: LevelFSTypeRefs}).Normalize()
-	if !n.FlowSensitive || n.Level != LevelFSTypeRefs {
-		t.Errorf("Normalize(LevelFSTypeRefs) = %+v, want FlowSensitive at LevelFSTypeRefs", n)
-	}
-	n = (Options{Level: LevelSMFieldTypeRefs, FlowSensitive: true}).Normalize()
-	if n.Level != LevelFSTypeRefs {
-		t.Errorf("Normalize(SM + FlowSensitive) level = %v, want FSTypeRefs", n.Level)
-	}
-	n = (Options{Level: LevelSMFieldTypeRefs}).Normalize()
-	if n.Level != LevelSMFieldTypeRefs || n.FlowSensitive {
-		t.Errorf("Normalize(SM) = %+v, want unchanged", n)
-	}
-	// The interprocedural spellings fold the same way and imply the
-	// flow-sensitive refinement.
-	n = (Options{Level: LevelIPTypeRefs}).Normalize()
-	if !n.Interprocedural || !n.FlowSensitive || n.Level != LevelIPTypeRefs {
-		t.Errorf("Normalize(LevelIPTypeRefs) = %+v, want Interprocedural+FlowSensitive at LevelIPTypeRefs", n)
-	}
-	for _, lvl := range []Level{LevelSMFieldTypeRefs, LevelFSTypeRefs} {
-		n = (Options{Level: lvl, Interprocedural: true}).Normalize()
-		if n.Level != LevelIPTypeRefs || !n.FlowSensitive {
-			t.Errorf("Normalize(%v + Interprocedural) = %+v, want LevelIPTypeRefs", lvl, n)
-		}
-	}
 }
 
 // TestNewRejectsInvalidLevel: New must not silently misbehave on an

@@ -1,6 +1,9 @@
 package alias_test
 
 import (
+	"fmt"
+	"os"
+	"strconv"
 	"testing"
 
 	"tbaa/internal/alias"
@@ -172,4 +175,90 @@ func TestPartitionStableAcrossRebuild(t *testing.T) {
 			t.Fatalf("%v: rebuild changed CountPairs", opts.Level)
 		}
 	}
+}
+
+// TestPartitionCoversPipelinePaths pins the premise that lets MayAlias
+// and StoreKills go without a cache: on every path a pass pipeline
+// leaves on an instruction, the current oracle answers through the
+// partition, never through the uncached case analysis. Every stock
+// program runs Devirt, MinvInline, RLE and PRE through a PassEnv at
+// every level × world, and so do random programs, spread round-robin
+// over the configurations (TBAA_DIFF_SEEDS overrides their count; the
+// CI gate runs 500). After each pass, and after a final Invalidate and
+// incremental rebuild, every instruction path must be classified and,
+// with two or more selectors, have its classified canonical prefix
+// chain in the intern index.
+func TestPartitionCoversPipelinePaths(t *testing.T) {
+	seeds := 100
+	if s := os.Getenv("TBAA_DIFF_SEEDS"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			t.Fatalf("bad TBAA_DIFF_SEEDS=%q", s)
+		}
+		seeds = n
+	} else if testing.Short() {
+		seeds = 20
+	}
+	var configs []alias.Options
+	for _, lvl := range []alias.Level{
+		alias.LevelTypeDecl,
+		alias.LevelFieldTypeDecl,
+		alias.LevelSMFieldTypeRefs,
+		alias.LevelFSTypeRefs,
+		alias.LevelIPTypeRefs,
+	} {
+		configs = append(configs, alias.Options{Level: lvl}, alias.Options{Level: lvl, OpenWorld: true})
+	}
+	for _, bm := range bench.All() {
+		for _, opts := range configs {
+			checkPipelineCoverage(t, bm.Name, bm.Source, opts)
+		}
+	}
+	for k := 0; k < seeds; k++ {
+		seed := int64(83000 + k)
+		checkPipelineCoverage(t, fmt.Sprintf("seed %d", seed),
+			randprog.Generate(seed, randprog.DefaultConfig()), configs[k%len(configs)])
+	}
+}
+
+func checkPipelineCoverage(t *testing.T, name, src string, opts alias.Options) {
+	t.Helper()
+	prog, _, err := driver.Compile(name, src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	env, err := driver.NewPassEnv(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		o := env.Oracle()
+		for _, p := range prog.Procs {
+			for _, b := range p.Blocks {
+				for _, in := range b.Instrs {
+					if in.AP == nil {
+						continue
+					}
+					classified, chained := alias.Coverage(o, in.AP)
+					if !classified {
+						t.Fatalf("%s %v open=%v after %s: %s in %s has no partition class",
+							name, opts.Level, opts.OpenWorld, stage, in.AP, p.Name)
+					}
+					if !chained {
+						t.Fatalf("%s %v open=%v after %s: %s in %s has no classified prefix chain",
+							name, opts.Level, opts.OpenWorld, stage, in.AP, p.Name)
+					}
+				}
+			}
+		}
+	}
+	for _, pass := range []driver.Pass{driver.DevirtPass{}, driver.MinvInlinePass{}, driver.RLEPass{}, driver.PREPass{}} {
+		if _, err := pass.Run(env); err != nil {
+			t.Fatalf("%s: pass %s: %v", name, pass.Name(), err)
+		}
+		check(pass.Name())
+	}
+	env.Invalidate()
+	check("incremental rebuild")
 }

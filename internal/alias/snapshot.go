@@ -72,15 +72,14 @@ func (a *Analysis) Snapshot() *Snapshot {
 // warm-start path of the artifact cache. idx must be the intern index of
 // prog (ir.InternAPs over the decoded program); the snapshot's class
 // table and representatives are resolved against it. The construction
-// mirrors New in everything else (AddressTaken indexes, memo, flow
-// layer), so the returned Analysis answers exactly as a from-scratch
-// build over the same program would — the artifact layer's differential
-// gate pins that equivalence.
+// shares New's base (AddressTaken indexes, flow layer, fingerprint), so
+// the returned Analysis answers exactly as a from-scratch build over
+// the same program would — the artifact layer's differential gate pins
+// that equivalence.
 func NewFromSnapshot(prog *ir.Program, opts Options, idx *ir.APIndex, snap *Snapshot) (*Analysis, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.Normalize()
 	if snap == nil || idx == nil {
 		return nil, fmt.Errorf("alias: nil snapshot or index")
 	}
@@ -120,24 +119,8 @@ func NewFromSnapshot(prog *ir.Program, opts Options, idx *ir.APIndex, snap *Snap
 	} else if len(snap.TypeRefs) != 0 {
 		return nil, fmt.Errorf("alias: snapshot carries a TypeRefsTable below level %v", LevelSMFieldTypeRefs)
 	}
-	a := &Analysis{
-		prog:       prog,
-		u:          prog.Universe,
-		opts:       opts,
-		typeRefs:   snap.TypeRefs,
-		addrFields: prog.AddressTakenFields,
-		addrElems:  prog.AddressTakenElems,
-		addrOwners: make(map[string][]types.Type, len(prog.AddressTakenFields)),
-		memo:       newMemoCache(),
-	}
-	for key := range prog.AddressTakenFields {
-		a.addrOwners[key.Field] = append(a.addrOwners[key.Field], prog.Universe.ByID(key.TypeID))
-	}
-	if opts.Level >= LevelFSTypeRefs {
-		a.flow = newFlow(a)
-	}
+	a := newBase(prog, opts, snap.TypeRefs)
 	a.apIdx = idx
-	a.fp = fingerprintOf(prog)
 	a.part.Store(&partition{idx: idx, aps: idx.APs, cls: snap.Cls, compat: snap.Compat, reps: reps})
 	return a, nil
 }

@@ -26,7 +26,7 @@ func buildAndWrite(t *testing.T, dir string, src string, opts alias.Options, key
 		t.Fatal("analysis refused to snapshot")
 	}
 	var mrSnap *modref.Snapshot
-	if opts.Normalize().Interprocedural {
+	if opts.Level == alias.LevelIPTypeRefs {
 		mr := modref.ComputeWith(prog, modref.Config{RTA: true, OpenWorld: opts.OpenWorld})
 		if mrSnap = mr.Snapshot(); mrSnap == nil {
 			t.Fatal("summaries refused to snapshot")
@@ -83,7 +83,7 @@ func TestRoundTripBasic(t *testing.T) {
 					}
 				}
 			}
-			if opts.Normalize().Interprocedural {
+			if opts.Level == alias.LevelIPTypeRefs {
 				if snap.ModRef == nil {
 					t.Fatalf("seed %d: interprocedural artifact lost its mod-ref section", seed)
 				}

@@ -66,21 +66,19 @@ type PassEnv struct {
 	prevClock  uint64
 }
 
-// NewPassEnv validates opts and wraps prog for a pass pipeline. Options
-// are normalized, so Opts reflects the effective level (FlowSensitive
-// on SMFieldTypeRefs reads back as LevelFSTypeRefs).
+// NewPassEnv validates opts and wraps prog for a pass pipeline.
 func NewPassEnv(prog *ir.Program, opts alias.Options) (*PassEnv, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &PassEnv{Prog: prog, Opts: opts.Normalize()}, nil
+	return &PassEnv{Prog: prog, Opts: opts}, nil
 }
 
 // Oracle returns the alias analysis for the current program state,
-// building it on first use. Under WithInterprocedural configurations
-// the interprocedural mod-ref summaries are wired into the oracle's
-// flow-sensitive call-kill rule before the oracle is handed out, so
-// site-aware answers never depend on whether ModRef was forced first.
+// building it on first use. At LevelIPTypeRefs the interprocedural
+// mod-ref summaries are wired into the oracle's flow-sensitive
+// call-kill rule before the oracle is handed out, so site-aware answers
+// never depend on whether ModRef was forced first.
 //
 // After an Invalidate the build is incremental when it can be: the
 // retired generation plus the set of procedures mutated since it was
@@ -91,7 +89,7 @@ func (e *PassEnv) Oracle() *alias.Analysis {
 	if e.oracle == nil {
 		if !e.updateAnalyses() {
 			e.oracle = alias.New(e.Prog, e.Opts)
-			if e.Opts.Interprocedural {
+			if e.Opts.Level == alias.LevelIPTypeRefs {
 				e.oracle.SetCallSummaries(ipSummaries{
 					mr: e.ModRef(),
 					o:  e.oracle,
@@ -105,8 +103,8 @@ func (e *PassEnv) Oracle() *alias.Analysis {
 }
 
 // updateAnalyses attempts the incremental rebuild from the stashed
-// generation. On success it installs the new oracle (and, under
-// WithInterprocedural, the new summaries, invalidating the flow facts
+// generation. On success it installs the new oracle (and, at
+// LevelIPTypeRefs, the new summaries, invalidating the flow facts
 // of every procedure whose callee summaries changed) and reports true.
 // Any failed precondition reports false: the caller builds from
 // scratch, which is always exact.
@@ -125,11 +123,11 @@ func (e *PassEnv) updateAnalyses() bool {
 	if o == nil {
 		return false
 	}
-	if e.Opts.Interprocedural {
+	if e.Opts.Level == alias.LevelIPTypeRefs {
 		cfg := modref.Config{
 			RTA:       true,
 			OpenWorld: e.Opts.OpenWorld,
-			Refine:    refineFromOracle(o),
+			Refine:    RefineFromOracle(o),
 		}
 		mr, consumers := modref.Update(e.prevMR, cfg, dirty)
 		if mr == nil {
@@ -155,14 +153,14 @@ func (e *PassEnv) updateAnalyses() bool {
 
 // ModRef returns the mod-ref summaries, computing them on first use:
 // CHA-cone summaries by default, RTA-call-graph SCC summaries (refined
-// by the oracle's TypeRefsTable) under WithInterprocedural. Like
+// by the oracle's TypeRefsTable) at LevelIPTypeRefs. Like
 // Oracle, the build after an Invalidate is incremental when the delta
 // preconditions hold.
 func (e *PassEnv) ModRef() *modref.ModRef {
 	if e.mr != nil {
 		return e.mr
 	}
-	if e.Opts.Interprocedural {
+	if e.Opts.Level == alias.LevelIPTypeRefs {
 		o := e.Oracle()
 		// Building the oracle wires the summaries in, constructing them
 		// as a side effect — don't compute a second, diverging instance.
@@ -172,7 +170,7 @@ func (e *PassEnv) ModRef() *modref.ModRef {
 		e.mr = modref.ComputeWith(e.Prog, modref.Config{
 			RTA:       true,
 			OpenWorld: e.Opts.OpenWorld,
-			Refine:    refineFromOracle(o),
+			Refine:    RefineFromOracle(o),
 		})
 	} else {
 		if e.prevMR != nil {
@@ -288,16 +286,17 @@ func (DevirtPass) Name() string { return "devirt" }
 
 // Run implements Pass.
 func (DevirtPass) Run(e *PassEnv) (PassResult, error) {
-	nd := opt.Devirtualize(e.Prog, refineFromOracle(e.Oracle()))
+	nd := opt.Devirtualize(e.Prog, RefineFromOracle(e.Oracle()))
 	if nd > 0 {
 		e.Invalidate() // zero resolutions leave the program untouched
 	}
 	return PassResult{Devirtualized: nd}, nil
 }
 
-// refineFromOracle adapts the oracle's TypeRefsTable to Devirtualize's
-// receiver-narrowing callback.
-func refineFromOracle(a *alias.Analysis) func(o *types.Object) []int {
+// RefineFromOracle adapts the oracle's TypeRefsTable to the
+// receiver-narrowing callback Devirtualize and the RTA mod-ref
+// summaries take (the artifact warm start hands it a decoded oracle).
+func RefineFromOracle(a *alias.Analysis) func(o *types.Object) []int {
 	return func(o *types.Object) []int {
 		refs := a.TypeRefs(o)
 		if refs == nil {
@@ -311,9 +310,10 @@ func refineFromOracle(a *alias.Analysis) func(o *types.Object) []int {
 // by the oracle's TypeRefsTable) and inlines small procedures (Section
 // 3.7) as one fused pipeline step. It invalidates the analysis state:
 // inlining creates new code (including freshly address-taken cloned
-// locals), so the next Oracle() call rebuilds the whole Analysis — the
-// MayAlias memo, the field-indexed AddressTaken owner tables, and the
-// TypeRefsTable — and the next ModRef() recomputes summaries. Dropping
+// locals), so the next Oracle() call rebuilds the Analysis — the
+// field-indexed AddressTaken owner tables, the TypeRefsTable, and the
+// partition, incrementally through alias.Update when no global fact
+// table grew — and the next ModRef() recomputes summaries. Dropping
 // just the handles is enough because both are built from Prog on first
 // use and hold no state that survives Invalidate.
 type MinvInlinePass struct{}
@@ -323,7 +323,7 @@ func (MinvInlinePass) Name() string { return "minv+inline" }
 
 // Run implements Pass.
 func (MinvInlinePass) Run(e *PassEnv) (PassResult, error) {
-	nd := opt.Devirtualize(e.Prog, refineFromOracle(e.Oracle()))
+	nd := opt.Devirtualize(e.Prog, RefineFromOracle(e.Oracle()))
 	ni := opt.Inline(e.Prog)
 	if nd > 0 || ni > 0 {
 		e.Invalidate() // zero resolutions and expansions leave the program untouched

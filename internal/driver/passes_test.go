@@ -108,18 +108,18 @@ func TestInvalidateRebuildsAnalyses(t *testing.T) {
 	}
 	env.Invalidate()
 	if env.Oracle() == o1 {
-		t.Error("Invalidate left the stale alias analysis (memo + AddressTaken index) in place")
+		t.Error("Invalidate left the stale alias analysis (partition + AddressTaken index) in place")
 	}
 	if env.ModRef() == mr1 {
 		t.Error("Invalidate left the stale mod-ref summaries in place")
 	}
 }
 
-// TestStaleMemoRegression is the satellite's regression scenario: warm
-// the oracle's MayAlias memo and AddressTaken owner index, run the
-// structural MinvInline pass, then RLE. If the pass manager handed RLE
-// the pre-inline oracle (stale memo keyed by dead access paths, stale
-// owner tables missing the cloned WITH-alias locals), its decisions
+// TestStaleMemoRegression warms the oracle's lazily built partition and
+// AddressTaken owner index, runs the structural MinvInline pass, then
+// RLE. If the pass manager handed RLE the pre-inline oracle (a
+// partition over dead access paths, stale owner tables missing the
+// cloned WITH-alias locals), its decisions
 // could differ from a cold pipeline's. The two pipelines must agree on
 // what RLE removed and on the program's behavior.
 func TestStaleMemoRegression(t *testing.T) {
@@ -127,8 +127,8 @@ func TestStaleMemoRegression(t *testing.T) {
 		prog := lowerPasses(t)
 		env := mustEnv(t, prog)
 		if warm {
-			// Populate the memo with every reference pair and exercise
-			// the AddressTaken index before any pass runs.
+			// Query every reference pair and exercise the AddressTaken
+			// index before any pass runs.
 			o := env.Oracle()
 			refs := alias.References(prog)
 			for i := range refs {
@@ -270,21 +270,4 @@ func lowerSrc(t *testing.T, src string) *ir.Program {
 		t.Fatal(err)
 	}
 	return prog
-}
-
-// TestFlowSensitiveEnvNormalized: the pass env reports the effective
-// level for the FlowSensitive spelling.
-func TestFlowSensitiveEnvNormalized(t *testing.T) {
-	env, err := driver.NewPassEnv(lowerPasses(t), alias.Options{
-		Level: alias.LevelSMFieldTypeRefs, FlowSensitive: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Opts.Level != alias.LevelFSTypeRefs {
-		t.Errorf("env level = %v, want FSTypeRefs", env.Opts.Level)
-	}
-	if got := env.Oracle().Name(); got != "FSTypeRefs" {
-		t.Errorf("oracle name = %q, want FSTypeRefs", got)
-	}
 }

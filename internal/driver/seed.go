@@ -6,7 +6,6 @@ import (
 	"tbaa/internal/alias"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
-	"tbaa/internal/types"
 )
 
 // SeedPassEnv wraps prog with analyses decoded from a persisted
@@ -31,24 +30,16 @@ func SeedPassEnv(prog *ir.Program, opts alias.Options, oracle *alias.Analysis, m
 	}
 	e := &PassEnv{
 		Prog:       prog,
-		Opts:       opts.Normalize(),
+		Opts:       opts,
 		oracle:     oracle,
 		mr:         mr,
 		builtClock: prog.MutClock(),
 	}
-	if e.Opts.Interprocedural {
+	if e.Opts.Level == alias.LevelIPTypeRefs {
 		if mr == nil {
 			return nil, errors.New("driver: interprocedural seeding requires decoded mod-ref summaries")
 		}
 		oracle.SetCallSummaries(ipSummaries{mr: mr, o: oracle, at: prog.AddressTakenVars})
 	}
 	return e, nil
-}
-
-// RefineFromOracle adapts the oracle's TypeRefsTable to the mod-ref
-// dispatch-narrowing callback — the exported form of refineFromOracle,
-// for the artifact warm-start path, which must hand a decoded ModRef a
-// Refine closure over the decoded oracle.
-func RefineFromOracle(a *alias.Analysis) func(o *types.Object) []int {
-	return refineFromOracle(a)
 }

@@ -1,9 +1,7 @@
 // Package metrics is the one shared definition of the query-cost
-// vocabulary: the operation names and latency quantiles that both
-// `tbaabench -perfjson` (the per-PR BENCH_perf.json artifact) and the
-// analysis server's /metrics endpoint report. Keeping the definitions
-// in one place means the offline benchmark and the live endpoint can
-// never drift apart: they measure the same ops under the same names.
+// vocabulary: the operation names and latency quantiles the analysis
+// server's /metrics endpoint reports. The committed benchmark
+// (perfbench) times the same operations end to end and per layer.
 //
 // A Registry is the server-side half: lock-cheap counters for query
 // traffic, the module cache, and load shedding, plus one latency
@@ -19,9 +17,8 @@ import (
 	"time"
 )
 
-// The query operations every consumer reports under exactly these
-// names: the rows of BENCH_perf.json (see tbaa.MeasurePerf) and the
-// `op` label of the server's tbaad_query_duration_ns summary.
+// The query operations, under exactly these names: the `op` label of
+// the server's tbaad_query_duration_ns summary.
 const (
 	OpMayAlias      = "MayAlias"
 	OpMayAliasBatch = "MayAliasBatch"
@@ -29,8 +26,7 @@ const (
 	// OpRebuildOneProc is the incremental re-analysis after a
 	// one-procedure edit: re-lower the procedure, rebuild the analyses
 	// from its dirty set, and publish the refreshed snapshot. The
-	// server observes it per edit request; the benchmark measures the
-	// same operation via Analyzer.EditProc on the m3cg module.
+	// server observes it per edit request.
 	OpRebuildOneProc = "RebuildOneProc"
 )
 
@@ -170,8 +166,7 @@ func (r *Registry) Hist(op string) *Histogram { return r.hist[op] }
 
 // WritePrometheus renders every counter and latency summary in
 // Prometheus text exposition format (version 0.0.4). The op names and
-// quantiles are the package-level shared definitions, so the endpoint
-// reports exactly the vocabulary BENCH_perf.json measures.
+// quantiles are the package-level shared definitions.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)

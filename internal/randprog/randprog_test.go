@@ -153,8 +153,7 @@ func TestPerTypeGroupsSemantics(t *testing.T) {
 // for the interprocedural layer: on call-heavy random programs
 // (virtual dispatch, mutual recursion, constructors, by-ref escapes),
 // the full pass pipeline — Devirt, MinvInline, RLE, PRE — must produce
-// byte-identical interpreter output at every level × WithInterprocedural
-// setting, and the interprocedural oracle must disambiguate a superset
+// byte-identical interpreter output at every level and world, and the interprocedural oracle must disambiguate a superset
 // of the flow-sensitive oracle's pairs while RLE removes at least as
 // many loads in every procedure.
 func TestInterproceduralPipelineDifferential(t *testing.T) {
@@ -163,7 +162,6 @@ func TestInterproceduralPipelineDifferential(t *testing.T) {
 		{Level: alias.LevelFieldTypeDecl},
 		{Level: alias.LevelSMFieldTypeRefs},
 		{Level: alias.LevelFSTypeRefs},
-		{Level: alias.LevelSMFieldTypeRefs, Interprocedural: true},
 		{Level: alias.LevelIPTypeRefs},
 		{Level: alias.LevelIPTypeRefs, OpenWorld: true},
 	}

@@ -19,8 +19,7 @@
 //     the generation they resolved, so a batch never mixes verdicts
 //     from two generations.
 //   - Observability: /metrics exposes the shared internal/metrics
-//     vocabulary (the same op names BENCH_perf.json measures) in
-//     Prometheus text format; /healthz answers liveness probes; every
+//     vocabulary in Prometheus text format; /healthz answers liveness probes; every
 //     module carries per-session tbaa.Stats reported in its responses.
 package server
 

@@ -3,7 +3,6 @@ package tbaa_test
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 
@@ -41,7 +40,7 @@ END IP.
 `
 
 // TestIPTypeRefsLevel pins the public surface of the interprocedural
-// level: the name, parsing, both option spellings, and validation.
+// level: the name, parsing, and WithLevel.
 func TestIPTypeRefsLevel(t *testing.T) {
 	if got := tbaa.IPTypeRefs.String(); got != "IPTypeRefs" {
 		t.Errorf("IPTypeRefs.String() = %q", got)
@@ -58,29 +57,6 @@ func TestIPTypeRefsLevel(t *testing.T) {
 	}
 	if a.Level() != tbaa.IPTypeRefs || a.Name() != "IPTypeRefs" {
 		t.Errorf("Level() = %v, Name() = %q", a.Level(), a.Name())
-	}
-	// WithInterprocedural on the default level is the same
-	// configuration, and it implies the flow-sensitive refinement.
-	b, err := tbaa.New("ip.m3", ipSrc, tbaa.WithInterprocedural(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Level() != tbaa.IPTypeRefs {
-		t.Errorf("WithInterprocedural(true) level = %v, want IPTypeRefs", b.Level())
-	}
-	// Stacking both extension options is the same level too.
-	c, err := tbaa.New("ip.m3", ipSrc, tbaa.WithFlowSensitive(true), tbaa.WithInterprocedural(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Level() != tbaa.IPTypeRefs {
-		t.Errorf("FlowSensitive+Interprocedural level = %v, want IPTypeRefs", c.Level())
-	}
-	// Like the flow-sensitive refinement, the layer needs a
-	// TypeRefsTable: lower levels are rejected.
-	_, err = tbaa.New("ip.m3", ipSrc, tbaa.WithLevel(tbaa.TypeDecl), tbaa.WithInterprocedural(true))
-	if err == nil || !strings.Contains(err.Error(), "interprocedural") {
-		t.Errorf("TypeDecl + WithInterprocedural(true) = %v, want a descriptive error", err)
 	}
 }
 

@@ -33,7 +33,7 @@ const (
 	// flow-insensitive verdict is may-alias. Context-free MayAlias
 	// queries are identical to SMFieldTypeRefs; the refinement applies
 	// to statement-anchored facts (CountPairs, RLE and PRE kill
-	// decisions). Equivalent to WithFlowSensitive(true).
+	// decisions).
 	FSTypeRefs = Level(alias.LevelFSTypeRefs)
 	// IPTypeRefs: FSTypeRefs extended with interprocedural mod-ref
 	// summaries over a Rapid Type Analysis call graph. Method calls
@@ -44,8 +44,7 @@ const (
 	// call-graph SCCs, with a sound top for recursion and open-world
 	// escapes), and every call kill — in the flow-sensitive fact layer
 	// and in the RLE/PRE availability dataflows — consults the call's
-	// summary instead of killing everything. Equivalent to
-	// WithInterprocedural(true).
+	// summary instead of killing everything.
 	IPTypeRefs = Level(alias.LevelIPTypeRefs)
 )
 

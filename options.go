@@ -55,33 +55,6 @@ func WithOpenWorld(open bool) Option {
 	}
 }
 
-// WithFlowSensitive layers the intraprocedural flow-sensitive
-// reaching-stores refinement on top of the alias analysis; with the
-// default level it is equivalent to WithLevel(FSTypeRefs). It requires
-// SMFieldTypeRefs or above (the refinement narrows TypeRefsTable rows,
-// which lower levels do not build); NewAnalyzer rejects lower levels
-// with a descriptive error.
-func WithFlowSensitive(fs bool) Option {
-	return func(c *config) error {
-		c.opts.FlowSensitive = fs
-		return nil
-	}
-}
-
-// WithInterprocedural layers interprocedural mod-ref summaries over an
-// RTA call graph on top of the flow-sensitive refinement, so calls
-// kill only what their possible callees may actually modify; with the
-// default level it is equivalent to WithLevel(IPTypeRefs) and implies
-// WithFlowSensitive(true). Like the flow-sensitive refinement it
-// requires SMFieldTypeRefs or above; NewAnalyzer rejects lower levels
-// with a descriptive error.
-func WithInterprocedural(ip bool) Option {
-	return func(c *config) error {
-		c.opts.Interprocedural = ip
-		return nil
-	}
-}
-
 // WithPerTypeGroups selects the paper's footnote-2 variant of
 // SMTypeRefs that maintains a separate group per type (directed
 // propagation) instead of union-find equivalence classes. More precise,
@@ -122,8 +95,8 @@ func WithPasses(passes ...Pass) Option {
 //
 // Configurations whose state is not a pure function of the keyed inputs
 // bypass the cache: an optimization pipeline (WithPasses) mutates the
-// program after lowering, and WithPerTypeGroups computes a different
-// table than the keyed default.
+// program after lowering, and WithPerTypeGroups at SMFieldTypeRefs and
+// above computes a different table than the keyed default.
 func WithArtifactCache(dir string) Option {
 	return func(c *config) error {
 		if dir == "" {

@@ -71,8 +71,11 @@ type ScaleRow struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
-// scaleLevels is the level sweep; identical to the perf report's.
-func scaleLevels() []Level { return perfLevels() }
+// scaleLevels is the level sweep: the paper's three plus both
+// extensions.
+func scaleLevels() []Level {
+	return []Level{TypeDecl, FieldTypeDecl, SMFieldTypeRefs, FSTypeRefs, IPTypeRefs}
+}
 
 // scaleEditProc extracts the first top-level PROCEDURE declaration of
 // src, verbatim — the one-procedure edit the RebuildOneProc row
@@ -267,7 +270,7 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 		}
 		// Rand: pairs strided across the whole path set — the
 		// working-set-of-everything shape an analysis client produces.
-		rand := make([]Pair, 0, perfBatchPairs)
+		rand := make([]Pair, 0, 4096)
 		for i := 0; len(rand) < cap(rand); i++ {
 			rand = append(rand, Pair{P: names[(i*2654435761)%len(names)], Q: names[(i*40503+1)%len(names)]})
 		}

@@ -16,7 +16,7 @@ import (
 
 // snapshotFixture builds an interprocedural analyzer (the configuration
 // with the most shared lazily-built state: flow facts, RTA summaries,
-// memo shards) over a stock benchmark, plus an all-pairs query vector
+// the partition) over a stock benchmark, plus an all-pairs query vector
 // large enough to engage MayAliasBatch's worker sharding.
 func snapshotFixture(t *testing.T) (*tbaa.Analyzer, []tbaa.Pair, []tbaa.Verdict, tbaa.PairCounts) {
 	t.Helper()

@@ -19,7 +19,8 @@ type ArtifactStatus int
 
 const (
 	// ArtifactNone: no cache configured, or the configuration is not
-	// cacheable (an optimization pipeline or the per-type-groups variant).
+	// cacheable (an optimization pipeline, or the per-type-groups
+	// variant at a level that builds a TypeRefsTable).
 	ArtifactNone ArtifactStatus = iota
 	// ArtifactHit: the Analyzer was decoded from a persisted artifact;
 	// no analysis was built.
@@ -53,20 +54,22 @@ func (s ArtifactStatus) String() string {
 func (a *Analyzer) ArtifactStatus() ArtifactStatus { return a.artifact }
 
 // artifactKey is the cache identity of a cacheable configuration: the
-// module's content hash plus the normalized level and world. Format
-// version and build fingerprint ride in the artifact header.
+// module's content hash plus the level and world. Format version and
+// build fingerprint ride in the artifact header.
 func (m *Module) artifactKey(opts alias.Options) artifact.Key {
-	norm := opts.Normalize()
-	return artifact.Key{ModuleHash: m.hash, Level: int(norm.Level), Open: norm.OpenWorld}
+	return artifact.Key{ModuleHash: m.hash, Level: int(opts.Level), Open: opts.OpenWorld}
 }
 
 // cacheable reports whether this configuration's analysis state can be
 // served from the artifact cache. An optimization pipeline mutates the
 // program after lowering (the artifact records the fresh lowering), and
 // the per-type-groups variant computes a different TypeRefsTable than
-// the keyed default — both must build from scratch.
+// the keyed default — both must build from scratch. Below
+// SMFieldTypeRefs no TypeRefsTable is built, so PerTypeGroups changes
+// nothing there and the configuration is the cacheable default.
 func (c *config) cacheable() bool {
-	return c.cacheDir != "" && len(c.passes) == 0 && !c.opts.PerTypeGroups
+	perType := c.opts.PerTypeGroups && c.opts.Level >= alias.LevelSMFieldTypeRefs
+	return c.cacheDir != "" && len(c.passes) == 0 && !perType
 }
 
 // warmStart attempts to construct the Analyzer's state from a persisted
@@ -90,19 +93,18 @@ func (m *Module) warmStart(cfg *config) (*driver.PassEnv, *querySnap, ArtifactSt
 		}
 		return nil, nil, ArtifactInvalid
 	}
-	norm := cfg.opts.Normalize()
 	oracle, err := alias.NewFromSnapshot(snap.Prog, cfg.opts, snap.Index, snap.Alias)
 	if err != nil {
 		return nil, nil, ArtifactInvalid
 	}
 	var mr *modref.ModRef
-	if norm.Interprocedural {
+	if cfg.opts.Level == alias.LevelIPTypeRefs {
 		if snap.ModRef == nil {
 			return nil, nil, ArtifactInvalid
 		}
 		mr, err = modref.FromSnapshot(snap.Prog, modref.Config{
 			RTA:       true,
-			OpenWorld: norm.OpenWorld,
+			OpenWorld: cfg.opts.OpenWorld,
 			Refine:    driver.RefineFromOracle(oracle),
 		}, snap.Index, snap.ModRef)
 		if err != nil {
@@ -135,7 +137,7 @@ func (m *Module) writeArtifact(cfg *config, env *driver.PassEnv) {
 		return
 	}
 	var mrSnap *modref.Snapshot
-	if env.Opts.Interprocedural {
+	if env.Opts.Level == alias.LevelIPTypeRefs {
 		if mrSnap = env.ModRef().Snapshot(); mrSnap == nil {
 			return
 		}

@@ -42,14 +42,15 @@ func queryPairs(a *tbaa.Analyzer) []tbaa.Pair {
 // roundTrip builds cold (writing the artifact), then warm-starts from a
 // freshly compiled module — a simulated process restart — and requires
 // verdicts, pair metrics, vocabulary, and AddressTaken to be identical.
-func roundTrip(t *testing.T, file, src string, lvl tbaa.Level, open bool, dir string) {
+// extra options ride along on both starts.
+func roundTrip(t *testing.T, file, src string, lvl tbaa.Level, open bool, dir string, extra ...tbaa.Option) {
 	t.Helper()
 	ctx := context.Background()
 	mod, err := tbaa.Compile(file, src)
 	if err != nil {
 		t.Fatalf("%s: %v", file, err)
 	}
-	opts := []tbaa.Option{tbaa.WithLevel(lvl), tbaa.WithOpenWorld(open), tbaa.WithArtifactCache(dir)}
+	opts := append([]tbaa.Option{tbaa.WithLevel(lvl), tbaa.WithOpenWorld(open), tbaa.WithArtifactCache(dir)}, extra...)
 	cold, err := mod.NewAnalyzer(opts...)
 	if err != nil {
 		t.Fatalf("%s l%d open=%v: cold build: %v", file, lvl, open, err)
@@ -112,6 +113,30 @@ func TestArtifactRoundTripStockBenchmarks(t *testing.T) {
 				dir := t.TempDir()
 				roundTrip(t, bm.Name+".m3", bm.Source, lvl, open, dir)
 			}
+		}
+	}
+}
+
+// TestArtifactPerTypeGroupsBelowSM: below SMFieldTypeRefs no
+// TypeRefsTable is built, so WithPerTypeGroups(true) is the cacheable
+// default configuration and must warm-start like it. From
+// SMFieldTypeRefs up the variant computes its own table and still
+// bypasses the cache.
+func TestArtifactPerTypeGroupsBelowSM(t *testing.T) {
+	bm := tbaa.Benchmarks()[0]
+	for _, lvl := range []tbaa.Level{tbaa.TypeDecl, tbaa.FieldTypeDecl} {
+		for _, open := range []bool{false, true} {
+			roundTrip(t, bm.Name+".m3", bm.Source, lvl, open, t.TempDir(), tbaa.WithPerTypeGroups(true))
+		}
+	}
+	for _, lvl := range []tbaa.Level{tbaa.SMFieldTypeRefs, tbaa.FSTypeRefs, tbaa.IPTypeRefs} {
+		a, err := tbaa.New(bm.Name+".m3", bm.Source, tbaa.WithLevel(lvl),
+			tbaa.WithPerTypeGroups(true), tbaa.WithArtifactCache(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.ArtifactStatus(); got != tbaa.ArtifactNone {
+			t.Errorf("%v per-type groups: status = %v, want none", lvl, got)
 		}
 	}
 }
