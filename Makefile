@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke vet fmt fmt-check golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-baseline bench-scale bench-scale-full bench-scale-baseline tbaad-smoke tbaad-chaos profile cover api api-check examples ci
+.PHONY: build test test-race bench bench-smoke vet fmt fmt-check golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-baseline bench-scale bench-scale-full bench-scale-baseline tbaad-smoke tbaad-chaos profile cover api api-check examples deps-check fuzz ci
 
 build:
 	$(GO) build ./...
@@ -143,9 +143,22 @@ api-check:
 	@$(GO) doc -all tbaa | diff -u testdata/api.golden - \
 		|| { echo "public API drifted from testdata/api.golden; run 'make api' and review the diff"; exit 1; }
 
+# The library and the daemon link no test or harness code: fail if
+# testing, the random-program generator or the evaluation harness is
+# among their dependencies.
+deps-check:
+	@bad="$$($(GO) list -deps . ./cmd/tbaad | grep -Ex 'testing|tbaa/internal/randprog|tbaa/internal/eval')"; \
+	if [ -n "$$bad" ]; then echo "package tbaa or cmd/tbaad links:"; echo "$$bad"; exit 1; fi
+
+# Native fuzzing of the front end: Compile must never panic or hang,
+# and must reject bad input with a positioned *ParseError/*CheckError.
+# Crashers are committed under testdata/fuzz/ and rerun by make test.
+fuzz:
+	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime=30s .
+
 # Examples compile under go build ./...; vet them explicitly too.
 examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-ci: build vet fmt-check test-race bench-smoke golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-scale tbaad-smoke tbaad-chaos cover api-check examples
+ci: build vet fmt-check deps-check test-race bench-smoke golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-scale tbaad-smoke tbaad-chaos cover api-check examples fuzz

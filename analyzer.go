@@ -37,7 +37,6 @@ import (
 type Analyzer struct {
 	mod      *Module
 	results  []PassResult
-	stats    *Stats
 	artifact ArtifactStatus
 
 	// mu guards snapshot (re)builds and the non-query entry points; the
@@ -102,7 +101,7 @@ func (m *Module) NewAnalyzer(options ...Option) (*Analyzer, error) {
 		var env *driver.PassEnv
 		var qs *querySnap
 		if env, qs, status = m.warmStart(cfg); status == ArtifactHit {
-			a := &Analyzer{mod: m, stats: cfg.stats, artifact: status, prog: env.Prog, env: env}
+			a := &Analyzer{mod: m, artifact: status, prog: env.Prog, env: env}
 			a.snap.Store(qs)
 			return a, nil
 		}
@@ -120,7 +119,7 @@ func (m *Module) NewAnalyzer(options ...Option) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tbaa: %w", err)
 	}
-	a := &Analyzer{mod: m, stats: cfg.stats, artifact: status, prog: prog, env: env}
+	a := &Analyzer{mod: m, artifact: status, prog: prog, env: env}
 	for _, r := range results {
 		a.results = append(a.results, fromDriverResult(r))
 	}
@@ -274,21 +273,8 @@ func (a *Analyzer) verdict(s *querySnap, p Pair) Verdict {
 		v.Err = err
 		return v
 	}
-	v.MayAlias = a.query(s, ap, aq)
+	v.MayAlias = s.oracle.MayAlias(ap, aq)
 	return v
-}
-
-// query asks the snapshot's oracle about two resolved paths and
-// maintains the shared stats counters (which are atomic).
-func (a *Analyzer) query(s *querySnap, ap, aq *ir.AP) bool {
-	mayAlias := s.oracle.MayAlias(ap, aq)
-	if a.stats != nil {
-		a.stats.queries.Add(1)
-		if mayAlias {
-			a.stats.aliased.Add(1)
-		}
-	}
-	return mayAlias
 }
 
 // Paths returns the sorted names of every access path occurring in the
@@ -318,9 +304,6 @@ const batchShardMin = 512
 func (a *Analyzer) MayAliasBatch(ctx context.Context, pairs []Pair) []Verdict {
 	out := make([]Verdict, len(pairs))
 	s := a.snapshot()
-	if a.stats != nil {
-		a.stats.batches.Add(1)
-	}
 	fill := func(start, stride int) {
 		for i := start; i < len(pairs); i += stride {
 			if err := ctx.Err(); err != nil {
@@ -381,7 +364,7 @@ func (a *Analyzer) Queries(ctx context.Context, pairs []Pair) iter.Seq[Verdict] 
 			}
 			v := Verdict{Pair: pr, Err: rs[i].err}
 			if v.Err == nil {
-				v.MayAlias = a.query(s, rs[i].p, rs[i].q)
+				v.MayAlias = s.oracle.MayAlias(rs[i].p, rs[i].q)
 			}
 			if !yield(v) {
 				return
@@ -551,29 +534,16 @@ type LimitReport struct {
 func (a *Analyzer) LimitStudy() (LimitReport, string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rep, out, err := a.limitReportLocked()
+	// The availability kills use the pass environment's summaries, so
+	// an interprocedural Analyzer's limit study sees the narrowed call
+	// effects (and plain configurations reuse the memoized CHA
+	// summaries instead of recomputing them per study).
+	rep, out, err := limit.Measure(a.prog, a.env.Oracle(), a.env.ModRef())
 	lr := LimitReport{HeapLoads: rep.HeapLoads, Redundant: rep.Redundant}
 	for c := limit.CatEncapsulated; c <= limit.CatRest; c++ {
 		lr.Categories = append(lr.Categories, CategoryCount{Name: c.String(), Loads: rep.ByCategory[c]})
 	}
 	return lr, out, err
-}
-
-// limitReportLocked is the raw-report form the harness consumes. The
-// availability kills use the pass environment's summaries, so an
-// interprocedural Analyzer's limit study sees the narrowed call
-// effects (and plain configurations reuse the memoized CHA summaries
-// instead of recomputing them per study).
-func (a *Analyzer) limitReportLocked() (limit.Report, string, error) {
-	return limit.Measure(a.prog, a.env.Oracle(), a.env.ModRef())
-}
-
-// limitReport locks and runs the raw limit study (harness cells own
-// their Analyzer exclusively, but locking keeps the invariant simple).
-func (a *Analyzer) limitReport() (limit.Report, string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limitReportLocked()
 }
 
 // ---------------------------------------------------------------------------

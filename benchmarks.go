@@ -22,21 +22,15 @@ func fromBench(b bench.Benchmark) Benchmark {
 	}
 }
 
-func fromBenchAll(bs []bench.Benchmark) []Benchmark {
-	out := make([]Benchmark, len(bs))
-	for i, b := range bs {
-		out[i] = fromBench(b)
+// Benchmarks returns the ten-program suite in the paper's Table 4
+// order, including the two interactive programs (dom, postcard).
+func Benchmarks() []Benchmark {
+	var out []Benchmark
+	for _, b := range bench.All() {
+		out = append(out, fromBench(b))
 	}
 	return out
 }
-
-// Benchmarks returns the ten-program suite in the paper's Table 4
-// order, including the two interactive programs (dom, postcard).
-func Benchmarks() []Benchmark { return fromBenchAll(bench.All()) }
-
-// MeasuredBenchmarks returns the non-interactive benchmarks (the ones
-// the paper reports dynamic numbers for).
-func MeasuredBenchmarks() []Benchmark { return fromBenchAll(bench.Measured()) }
 
 // BenchmarkByName returns a suite benchmark or false — the lookup
 // behind cmd/tbaa's -bench flag.

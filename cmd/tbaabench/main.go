@@ -1,6 +1,7 @@
 // Command tbaabench regenerates every table and figure from the paper's
 // evaluation section (Tables 4-6, Figures 8-12) plus the extension
-// tables (Table FS, Table IP) through the public tbaa package's Runner.
+// tables (Table FS, Table IP) through the evaluation harness in
+// internal/eval, which drives the public tbaa package.
 //
 // Usage:
 //
@@ -23,7 +24,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -31,7 +31,7 @@ import (
 	"strconv"
 	"strings"
 
-	"tbaa"
+	"tbaa/internal/eval"
 )
 
 func main() {
@@ -84,15 +84,15 @@ func main() {
 		debug.SetGCPercent(300)
 	}
 
-	r := tbaa.NewRunner(*parallel)
+	r := eval.NewRunner(*parallel)
 
 	tableIdx := 0
 	switch strings.ToLower(*table) {
 	case "", "0":
 	case "fs":
-		tableIdx = tbaa.TableFSIndex
+		tableIdx = eval.TableFSIndex
 	case "ip":
-		tableIdx = tbaa.TableIPIndex
+		tableIdx = eval.TableIPIndex
 	default:
 		n, err := strconv.Atoi(*table)
 		if err != nil || n < 4 || n > 6 {
@@ -110,15 +110,15 @@ func main() {
 		default:
 			fatal(fmt.Errorf("invalid -scalesweep %q (want trim or full)", *scaleSweep))
 		}
-		rows, err := tbaa.MeasureScale(full)
+		rows, err := eval.MeasureScale(full)
 		if err != nil {
 			fatal(err)
 		}
-		if err := writeJSONArtifact(*scaleJSON, rows, tbaa.WriteScaleJSON); err != nil {
+		if err := writeJSONArtifact(*scaleJSON, rows); err != nil {
 			fatal(err)
 		}
 		if *scaleJSON != "-" {
-			tbaa.FprintScale(os.Stdout, rows)
+			eval.FprintScale(os.Stdout, rows)
 		}
 		if tableIdx == 0 && *figure == 0 && *fsJSON == "" && *ipJSON == "" {
 			return
@@ -130,13 +130,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := writeJSONArtifact(*fsJSON, rows, tbaa.WriteFSJSON); err != nil {
+		if err := writeJSONArtifact(*fsJSON, rows); err != nil {
 			fatal(err)
 		}
 		// Table FS was just computed; render it from the same rows
 		// instead of re-deriving every cell.
-		if tableIdx == tbaa.TableFSIndex {
-			tbaa.FprintTableFS(os.Stdout, rows)
+		if tableIdx == eval.TableFSIndex {
+			eval.FprintTableFS(os.Stdout, rows)
 			fmt.Println()
 			tableIdx = 0
 		}
@@ -150,13 +150,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := writeJSONArtifact(*ipJSON, rows, tbaa.WriteIPJSON); err != nil {
+		if err := writeJSONArtifact(*ipJSON, rows); err != nil {
 			fatal(err)
 		}
 		// Table IP was just computed; render it from the same rows
 		// instead of re-deriving every cell.
-		if tableIdx == tbaa.TableIPIndex {
-			tbaa.FprintTableIP(os.Stdout, rows)
+		if tableIdx == eval.TableIPIndex {
+			eval.FprintTableIP(os.Stdout, rows)
 			fmt.Println()
 			tableIdx = 0
 		}
@@ -172,15 +172,15 @@ func main() {
 
 // writeJSONArtifact writes rows as JSON to path ("-" for stdout),
 // never shipping a truncated artifact on a failed final flush.
-func writeJSONArtifact[T any](path string, rows []T, write func(io.Writer, []T) error) error {
+func writeJSONArtifact[T any](path string, rows []T) error {
 	if path == "-" {
-		return write(os.Stdout, rows)
+		return eval.WriteJSON(os.Stdout, rows)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = write(f, rows)
+	err = eval.WriteJSON(f, rows)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

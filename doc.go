@@ -2,8 +2,9 @@
 // Moss; PLDI 1998) as an embeddable analysis library over a Modula-3
 // subset (MiniM3) compiled and executed by this module. The package is
 // the module's public face: the CLIs (cmd/tbaa, cmd/tbaabench), the
-// examples, and the evaluation harness are all built on the API defined
-// here, and nothing outside this module needs the internal packages.
+// examples, and the evaluation harness (internal/eval) are all built
+// on the API defined here, and nothing outside this module needs the
+// internal packages.
 //
 // # Compiling and analyzing
 //
@@ -112,8 +113,7 @@
 // query; MayAliasBatch answers a slice of Pairs, sharding large
 // vectors across GOMAXPROCS workers, honoring context cancellation
 // between pairs, and returning one Verdict per Pair; Queries is the
-// lazy iterator form. WithStats attaches an atomic query-counter that
-// may be shared across a fleet of Analyzers.
+// lazy iterator form.
 //
 // # Query snapshots and concurrency
 //
@@ -215,13 +215,13 @@
 //
 // # The evaluation harness
 //
-// Runner regenerates the paper's Tables 4-6 and Figures 8-12 — plus
-// Table FS, which scores the flow-sensitive refinement against
+// The harness that regenerates the paper's Tables 4-6 and Figures 8-12
+// — plus Table FS, which scores the flow-sensitive refinement against
 // SMFieldTypeRefs, and Table IP, which scores the interprocedural
-// layer against both (pairs disambiguated, loads removed) — over a
-// worker pool, fanning out (benchmark × level × options) cells that
-// share one Module per benchmark; output is byte-identical for every
-// worker count. Benchmarks returns the built-in ten-program suite.
+// layer against both — and the scale sweep is not part of this
+// package: it lives in internal/eval, behind cmd/tbaabench, and drives
+// the Analyzers defined here. Benchmarks returns the built-in
+// ten-program suite it measures.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.

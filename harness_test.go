@@ -7,14 +7,17 @@ import (
 	"tbaa"
 	"tbaa/internal/bench"
 	"tbaa/internal/driver"
+	"tbaa/internal/eval"
 	"tbaa/internal/interp"
 )
 
 // These tests encode the paper's qualitative claims (the "shapes" of its
-// tables and figures) as assertions over the regenerated artifacts.
+// tables and figures) as assertions over the artifacts internal/eval
+// regenerates. They share one runner, so each benchmark compiles once.
+var runner = eval.NewRunner(0)
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := tbaa.Table4()
+	rows, err := runner.Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +42,14 @@ func TestTable4Shape(t *testing.T) {
 		t.Errorf("expected 2 interactive programs, got %d", interactive)
 	}
 	var sb strings.Builder
-	tbaa.FprintTable4(&sb, rows)
+	eval.FprintTable4(&sb, rows)
 	if !strings.Contains(sb.String(), "dom") || !strings.Contains(sb.String(), "-") {
 		t.Error("rendered table must include interactive rows with dashes")
 	}
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := tbaa.Table5()
+	rows, err := runner.Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	rows, err := tbaa.Table6()
+	rows, err := runner.Table6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +114,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTableFSShape(t *testing.T) {
-	rows, err := tbaa.TableFS()
+	rows, err := runner.TableFS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestTableFSShape(t *testing.T) {
 }
 
 func TestTableIPShape(t *testing.T) {
-	rows, err := tbaa.TableIP()
+	rows, err := runner.TableIP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows, err := tbaa.Figure8()
+	rows, err := runner.Figure8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestFigure9And10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows9, err := tbaa.Figure9()
+	rows9, err := runner.Figure9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +224,7 @@ func TestFigure9And10Shape(t *testing.T) {
 			t.Errorf("%s: fraction out of range: %f", r.Name, r.Original)
 		}
 	}
-	rows10, err := tbaa.Figure10()
+	rows10, err := runner.Figure10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +248,7 @@ func TestFigure12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows, err := tbaa.Figure12()
+	rows, err := runner.Figure12()
 	if err != nil {
 		t.Fatal(err)
 	}

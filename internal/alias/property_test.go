@@ -1,6 +1,7 @@
 package alias_test
 
 import (
+	"slices"
 	"testing"
 
 	"tbaa/internal/alias"
@@ -91,33 +92,37 @@ func TestDynamicSoundnessOfMayAlias(t *testing.T) {
 	}
 }
 
-// collectCollisions executes the program and returns pairs of access
-// paths whose instructions dynamically touched the same heap address.
-// The heap allocator never reuses addresses, so address equality means
-// location identity.
+// collectCollisions executes the program and returns every pair of
+// distinct instructions' access paths that dynamically touched the same
+// heap address, each pair once. Every instruction that ever touched an
+// address is kept, so accessors A, B, C of one address yield (A,B),
+// (A,C) and (B,C). The heap allocator never reuses addresses, so
+// address equality means location identity. A run that traps keeps
+// what it collected before the trap.
 func collectCollisions(t *testing.T, prog *ir.Program) [][2]*ir.AP {
 	t.Helper()
 	in := interp.New(prog)
 	in.MaxSteps = 2_000_000
 	type key struct{ a, b *ir.Instr }
 	seenPair := map[key]bool{}
-	lastTouch := map[uint64]*ir.Instr{}
+	touched := map[uint64][]*ir.Instr{}
 	var out [][2]*ir.AP
 	in.SetListener(interp.Listener{Mem: func(ev *interp.MemEvent) {
 		if !ev.Heap || ev.Instr.AP == nil {
 			return
 		}
-		if prev := lastTouch[ev.Addr]; prev != nil && prev != ev.Instr {
-			k := key{prev, ev.Instr}
-			if !seenPair[k] {
+		prevs := touched[ev.Addr]
+		if slices.Contains(prevs, ev.Instr) {
+			return
+		}
+		for _, prev := range prevs {
+			if k := (key{prev, ev.Instr}); !seenPair[k] && !seenPair[key{ev.Instr, prev}] {
 				seenPair[k] = true
 				out = append(out, [2]*ir.AP{prev.AP, ev.Instr.AP})
 			}
 		}
-		lastTouch[ev.Addr] = ev.Instr
+		touched[ev.Addr] = append(prevs, ev.Instr)
 	}})
-	if _, err := in.Run(); err != nil {
-		return nil // trapping programs yield whatever was collected
-	}
+	_, _ = in.Run() // a trapping run still yields what it collected
 	return out
 }

@@ -1,7 +1,8 @@
 // Package bench contains the MiniM3 benchmark programs standing in for
 // the paper's Modula-3 suite (Table 4). The harness that regenerates
-// the evaluation section's tables and figures lives in the public tbaa
-// package (Runner), which re-exports this suite via tbaa.Benchmarks.
+// the evaluation section's tables and figures over it is
+// internal/eval; the public tbaa package re-exports the suite via
+// tbaa.Benchmarks.
 //
 // The programs carry the paper's benchmark names and reproduce their
 // shapes: text formatters working over word lists and character arrays

@@ -1,21 +1,19 @@
-package tbaa
+package eval
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 
+	"tbaa"
 	"tbaa/internal/bench"
+	"tbaa/internal/driver"
 	"tbaa/internal/limit"
+	"tbaa/internal/par"
 )
 
 // paperLevels is the level sweep used by the harness fan-outs.
-var paperLevels = Levels()
-
-// sequential is the runner behind the package-level Table/Figure
-// functions. One worker reproduces the historical strictly-sequential
-// evaluation order; the frontend cache still persists across calls.
-var sequential = NewRunner(1)
+var paperLevels = tbaa.Levels()
 
 // ---------------------------------------------------------------------------
 // Table 4 — benchmark descriptions
@@ -33,14 +31,11 @@ type Table4Row struct {
 
 // Table4 runs every benchmark unoptimized and reports its profile.
 // Interactive programs get only their static size, as in the paper.
-func Table4() ([]Table4Row, error) { return sequential.Table4() }
-
-// Table4 implements the package-level Table4 on this runner's pool:
-// one cell per benchmark.
+// It fans out one cell per benchmark.
 func (r *Runner) Table4() ([]Table4Row, error) {
-	bs := Benchmarks()
+	bs := bench.All()
 	rows := make([]Table4Row, len(bs))
-	err := r.run(len(bs), func(i int) error {
+	err := par.Run(r.workers, len(bs), func(i int) error {
 		b := bs[i]
 		row := Table4Row{
 			Name:        b.Name,
@@ -96,36 +91,80 @@ type Table5Row struct {
 }
 
 // Table5 counts may-alias pairs under the three analyses.
-func Table5() ([]Table5Row, error) { return sequential.Table5() }
-
-// Table5 fans out one cell per (benchmark × level).
 func (r *Runner) Table5() ([]Table5Row, error) {
-	bs := Benchmarks()
-	counts := make([]PairCounts, len(bs)*len(paperLevels))
-	err := r.run(len(counts), func(ci int) error {
-		b, lvl := bs[ci/len(paperLevels)], paperLevels[ci%len(paperLevels)]
-		a, err := r.analyzer(b, WithLevel(lvl))
-		if err != nil {
-			return err
-		}
-		counts[ci] = a.CountPairs()
-		return nil
-	})
+	bs := bench.All()
+	counts, err := perLevel(r, bs, paperLevels, r.pairs)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table5Row, len(bs))
 	for i, b := range bs {
-		row := Table5Row{Name: b.Name}
-		for li := range paperLevels {
-			pc := counts[i*len(paperLevels)+li]
-			row.References = pc.References
-			row.Local[li] = pc.Local
-			row.Global[li] = pc.Global
+		rows[i].Name = b.Name
+		for li, pc := range counts[i] {
+			rows[i].References = pc.References
+			rows[i].Local[li] = pc.Local
+			rows[i].Global[li] = pc.Global
 		}
-		rows[i] = row
 	}
 	return rows, nil
+}
+
+// perLevel evaluates cell for every (benchmark × level) on the
+// runner's pool, one cell each, and returns the results indexed
+// [benchmark][level].
+func perLevel[T any](r *Runner, bs []bench.Benchmark, levels []tbaa.Level, cell func(bench.Benchmark, tbaa.Level) (T, error)) ([][]T, error) {
+	out := make([][]T, len(bs))
+	for i := range out {
+		out[i] = make([]T, len(levels))
+	}
+	err := par.Run(r.workers, len(bs)*len(levels), func(ci int) error {
+		i, li := ci/len(levels), ci%len(levels)
+		var err error
+		out[i][li], err = cell(bs[i], levels[li])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// pairs counts b's static may-alias pairs at lvl (Table 5's metric).
+func (r *Runner) pairs(b bench.Benchmark, lvl tbaa.Level) (tbaa.PairCounts, error) {
+	a, err := r.analyzer(b, tbaa.WithLevel(lvl))
+	if err != nil {
+		return tbaa.PairCounts{}, err
+	}
+	return a.CountPairs(), nil
+}
+
+// removed counts the loads RLE removes statically from b at lvl
+// (Table 6's metric). Every call builds a fresh Analyzer, because RLE
+// mutates the lowered program.
+func (r *Runner) removed(b bench.Benchmark, lvl tbaa.Level) (int, error) {
+	a, err := r.analyzer(b, tbaa.WithLevel(lvl), tbaa.WithPasses(tbaa.RLE()))
+	if err != nil {
+		return 0, err
+	}
+	return a.PassResults()[0].Removed(), nil
+}
+
+// staticCounts is one Table FS/IP cell: both static metrics of a
+// benchmark at one level.
+type staticCounts struct {
+	pairs   tbaa.PairCounts
+	removed int
+}
+
+// static measures b's pairs and RLE removals at lvl in one cell, so
+// Tables FS and IP fan out through a single pool.
+func (r *Runner) static(b bench.Benchmark, lvl tbaa.Level) (staticCounts, error) {
+	pc, err := r.pairs(b, lvl)
+	if err != nil {
+		return staticCounts{}, err
+	}
+	n, err := r.removed(b, lvl)
+	return staticCounts{pc, n}, err
 }
 
 // FprintTable5 renders Table 5.
@@ -152,31 +191,15 @@ type Table6Row struct {
 }
 
 // Table6 runs RLE per level and counts removed loads.
-func Table6() ([]Table6Row, error) { return sequential.Table6() }
-
-// Table6 fans out one cell per (benchmark × level); every cell gets a
-// fresh Analyzer because RLE mutates the lowered program.
 func (r *Runner) Table6() ([]Table6Row, error) {
-	bs := MeasuredBenchmarks()
-	removed := make([]int, len(bs)*len(paperLevels))
-	err := r.run(len(removed), func(ci int) error {
-		b, lvl := bs[ci/len(paperLevels)], paperLevels[ci%len(paperLevels)]
-		a, err := r.analyzer(b, WithLevel(lvl), WithPasses(RLE()))
-		if err != nil {
-			return err
-		}
-		removed[ci] = a.PassResults()[0].Removed()
-		return nil
-	})
+	bs := bench.Measured()
+	removed, err := perLevel(r, bs, paperLevels, r.removed)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table6Row, len(bs))
 	for i, b := range bs {
-		rows[i].Name = b.Name
-		for li := range paperLevels {
-			rows[i].Removed[li] = removed[i*len(paperLevels)+li]
-		}
+		rows[i] = Table6Row{Name: b.Name, Removed: [3]int(removed[i])}
 	}
 	return rows, nil
 }
@@ -199,68 +222,46 @@ func FprintTable6(w io.Writer, rows []Table6Row) {
 // under both analyses, the pairs the refinement disambiguates, and the
 // loads RLE removes statically under each.
 type TableFSRow struct {
-	Name       string
-	References int
+	Name       string `json:"benchmark"`
+	References int    `json:"references"`
 	// GlobalSM/GlobalFS and LocalSM/LocalFS are may-alias pair counts
 	// under the two analyses (site-anchored for FSTypeRefs).
-	GlobalSM, GlobalFS int
-	LocalSM, LocalFS   int
+	GlobalSM int `json:"global_pairs_smfieldtyperefs"`
+	GlobalFS int `json:"global_pairs_fstyperefs"`
+	LocalSM  int `json:"local_pairs_smfieldtyperefs"`
+	LocalFS  int `json:"local_pairs_fstyperefs"`
 	// Disambiguated is GlobalSM - GlobalFS: pairs the refinement proves
 	// non-aliased.
-	Disambiguated int
+	Disambiguated int `json:"pairs_disambiguated"`
 	// RemovedSM/RemovedFS count loads removed statically by RLE.
 	// RemovedFS >= RemovedSM always: the refinement only removes kills.
-	RemovedSM, RemovedFS int
+	RemovedSM int `json:"loads_removed_smfieldtyperefs"`
+	RemovedFS int `json:"loads_removed_fstyperefs"`
 }
 
 // TableFS evaluates the flow-sensitive refinement on every benchmark.
-func TableFS() ([]TableFSRow, error) { return sequential.TableFS() }
-
-// TableFS fans out one cell per benchmark × {pairs@SM, pairs@FS,
-// RLE@SM, RLE@FS}; the pair metrics and RLE counts are static, so the
-// interactive programs are measured too.
+// The pair metrics and RLE counts are static, so the interactive
+// programs are measured too.
 func (r *Runner) TableFS() ([]TableFSRow, error) {
-	bs := Benchmarks()
-	const stride = 4
-	pairCells := make([]PairCounts, len(bs)*2)
-	removedCells := make([]int, len(bs)*2)
-	err := r.run(len(bs)*stride, func(ci int) error {
-		b, j := bs[ci/stride], ci%stride
-		lvl := SMFieldTypeRefs
-		if j%2 == 1 {
-			lvl = FSTypeRefs
-		}
-		if j < 2 {
-			a, err := r.analyzer(b, WithLevel(lvl))
-			if err != nil {
-				return err
-			}
-			pairCells[(ci/stride)*2+j] = a.CountPairs()
-			return nil
-		}
-		a, err := r.analyzer(b, WithLevel(lvl), WithPasses(RLE()))
-		if err != nil {
-			return err
-		}
-		removedCells[(ci/stride)*2+j-2] = a.PassResults()[0].Removed()
-		return nil
-	})
+	bs := bench.All()
+	levels := []tbaa.Level{tbaa.SMFieldTypeRefs, tbaa.FSTypeRefs}
+	cells, err := perLevel(r, bs, levels, r.static)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]TableFSRow, len(bs))
 	for i, b := range bs {
-		sm, fs := pairCells[2*i], pairCells[2*i+1]
+		sm, fs := cells[i][0], cells[i][1]
 		rows[i] = TableFSRow{
 			Name:          b.Name,
-			References:    sm.References,
-			GlobalSM:      sm.Global,
-			GlobalFS:      fs.Global,
-			LocalSM:       sm.Local,
-			LocalFS:       fs.Local,
-			Disambiguated: sm.Global - fs.Global,
-			RemovedSM:     removedCells[2*i],
-			RemovedFS:     removedCells[2*i+1],
+			References:    sm.pairs.References,
+			GlobalSM:      sm.pairs.Global,
+			GlobalFS:      fs.pairs.Global,
+			LocalSM:       sm.pairs.Local,
+			LocalFS:       fs.pairs.Local,
+			Disambiguated: sm.pairs.Global - fs.pairs.Global,
+			RemovedSM:     sm.removed,
+			RemovedFS:     fs.removed,
 		}
 	}
 	return rows, nil
@@ -278,40 +279,6 @@ func FprintTableFS(w io.Writer, rows []TableFSRow) {
 	}
 }
 
-// WriteFSJSON writes Table FS as a JSON array — one object per
-// benchmark with the pairs-disambiguated and loads-removed metrics —
-// the per-PR precision-trajectory artifact CI stores as BENCH_fs.json.
-func WriteFSJSON(w io.Writer, rows []TableFSRow) error {
-	type obj struct {
-		Benchmark     string `json:"benchmark"`
-		References    int    `json:"references"`
-		GlobalSM      int    `json:"global_pairs_smfieldtyperefs"`
-		GlobalFS      int    `json:"global_pairs_fstyperefs"`
-		LocalSM       int    `json:"local_pairs_smfieldtyperefs"`
-		LocalFS       int    `json:"local_pairs_fstyperefs"`
-		Disambiguated int    `json:"pairs_disambiguated"`
-		RemovedSM     int    `json:"loads_removed_smfieldtyperefs"`
-		RemovedFS     int    `json:"loads_removed_fstyperefs"`
-	}
-	out := make([]obj, len(rows))
-	for i, r := range rows {
-		out[i] = obj{
-			Benchmark:     r.Name,
-			References:    r.References,
-			GlobalSM:      r.GlobalSM,
-			GlobalFS:      r.GlobalFS,
-			LocalSM:       r.LocalSM,
-			LocalFS:       r.LocalFS,
-			Disambiguated: r.Disambiguated,
-			RemovedSM:     r.RemovedSM,
-			RemovedFS:     r.RemovedFS,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // ---------------------------------------------------------------------------
 // Table IP — the interprocedural layer vs FSTypeRefs vs SMFieldTypeRefs
 // (an extension table; not in the paper)
@@ -322,67 +289,47 @@ func WriteFSJSON(w io.Writer, rows []TableFSRow) error {
 // interprocedural layer disambiguates beyond FS, and the loads RLE
 // removes statically under each.
 type TableIPRow struct {
-	Name       string
-	References int
+	Name       string `json:"benchmark"`
+	References int    `json:"references"`
 	// GlobalSM/GlobalFS/GlobalIP are global may-alias pair counts.
 	// GlobalIP <= GlobalFS <= GlobalSM always: each layer only removes
 	// pairs.
-	GlobalSM, GlobalFS, GlobalIP int
+	GlobalSM int `json:"global_pairs_smfieldtyperefs"`
+	GlobalFS int `json:"global_pairs_fstyperefs"`
+	GlobalIP int `json:"global_pairs_iptyperefs"`
 	// Disambiguated is GlobalFS - GlobalIP: pairs only the
 	// interprocedural summaries prove non-aliased.
-	Disambiguated int
+	Disambiguated int `json:"pairs_disambiguated_vs_fs"`
 	// RemovedSM/RemovedFS/RemovedIP count loads removed statically by
 	// RLE. RemovedIP >= RemovedFS >= RemovedSM always: the layers only
 	// remove kills.
-	RemovedSM, RemovedFS, RemovedIP int
+	RemovedSM int `json:"loads_removed_smfieldtyperefs"`
+	RemovedFS int `json:"loads_removed_fstyperefs"`
+	RemovedIP int `json:"loads_removed_iptyperefs"`
 }
 
-// TableIP evaluates the interprocedural layer on every benchmark.
-func TableIP() ([]TableIPRow, error) { return sequential.TableIP() }
-
-// TableIP fans out one cell per benchmark × {pairs, RLE} × {SM, FS,
-// IP}; the metrics are static, so the interactive programs are
-// measured too.
+// TableIP evaluates the interprocedural layer on every benchmark. The
+// metrics are static, so the interactive programs are measured too.
 func (r *Runner) TableIP() ([]TableIPRow, error) {
-	bs := Benchmarks()
-	levels := []Level{SMFieldTypeRefs, FSTypeRefs, IPTypeRefs}
-	stride := 2 * len(levels)
-	pairCells := make([]PairCounts, len(bs)*len(levels))
-	removedCells := make([]int, len(bs)*len(levels))
-	err := r.run(len(bs)*stride, func(ci int) error {
-		b, j := bs[ci/stride], ci%stride
-		lvl := levels[j%len(levels)]
-		if j < len(levels) {
-			a, err := r.analyzer(b, WithLevel(lvl))
-			if err != nil {
-				return err
-			}
-			pairCells[(ci/stride)*len(levels)+j] = a.CountPairs()
-			return nil
-		}
-		a, err := r.analyzer(b, WithLevel(lvl), WithPasses(RLE()))
-		if err != nil {
-			return err
-		}
-		removedCells[(ci/stride)*len(levels)+j-len(levels)] = a.PassResults()[0].Removed()
-		return nil
-	})
+	bs := bench.All()
+	levels := []tbaa.Level{tbaa.SMFieldTypeRefs, tbaa.FSTypeRefs, tbaa.IPTypeRefs}
+	cells, err := perLevel(r, bs, levels, r.static)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]TableIPRow, len(bs))
 	for i, b := range bs {
-		sm, fs, ip := pairCells[3*i], pairCells[3*i+1], pairCells[3*i+2]
+		sm, fs, ip := cells[i][0], cells[i][1], cells[i][2]
 		rows[i] = TableIPRow{
 			Name:          b.Name,
-			References:    sm.References,
-			GlobalSM:      sm.Global,
-			GlobalFS:      fs.Global,
-			GlobalIP:      ip.Global,
-			Disambiguated: fs.Global - ip.Global,
-			RemovedSM:     removedCells[3*i],
-			RemovedFS:     removedCells[3*i+1],
-			RemovedIP:     removedCells[3*i+2],
+			References:    sm.pairs.References,
+			GlobalSM:      sm.pairs.Global,
+			GlobalFS:      fs.pairs.Global,
+			GlobalIP:      ip.pairs.Global,
+			Disambiguated: fs.pairs.Global - ip.pairs.Global,
+			RemovedSM:     sm.removed,
+			RemovedFS:     fs.removed,
+			RemovedIP:     ip.removed,
 		}
 	}
 	return rows, nil
@@ -400,83 +347,47 @@ func FprintTableIP(w io.Writer, rows []TableIPRow) {
 	}
 }
 
-// WriteIPJSON writes Table IP as a JSON array — one object per
-// benchmark with the pairs-disambiguated and loads-removed metrics —
-// the per-PR precision-trajectory artifact CI stores as BENCH_ip.json.
-func WriteIPJSON(w io.Writer, rows []TableIPRow) error {
-	type obj struct {
-		Benchmark     string `json:"benchmark"`
-		References    int    `json:"references"`
-		GlobalSM      int    `json:"global_pairs_smfieldtyperefs"`
-		GlobalFS      int    `json:"global_pairs_fstyperefs"`
-		GlobalIP      int    `json:"global_pairs_iptyperefs"`
-		Disambiguated int    `json:"pairs_disambiguated_vs_fs"`
-		RemovedSM     int    `json:"loads_removed_smfieldtyperefs"`
-		RemovedFS     int    `json:"loads_removed_fstyperefs"`
-		RemovedIP     int    `json:"loads_removed_iptyperefs"`
-	}
-	out := make([]obj, len(rows))
-	for i, r := range rows {
-		out[i] = obj{
-			Benchmark:     r.Name,
-			References:    r.References,
-			GlobalSM:      r.GlobalSM,
-			GlobalFS:      r.GlobalFS,
-			GlobalIP:      r.GlobalIP,
-			Disambiguated: r.Disambiguated,
-			RemovedSM:     r.RemovedSM,
-			RemovedFS:     r.RemovedFS,
-			RemovedIP:     r.RemovedIP,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // ---------------------------------------------------------------------------
 // Figure 8 — simulated execution time of RLE per analysis
 
 // Figure8Row reports percent-of-base simulated time per level.
 type Figure8Row struct {
-	Name       string
-	BaseCycles uint64
-	Pct        [3]float64 // TypeDecl, FieldTypeDecl, SMFieldTypeRefs
+	Name string
+	Pct  [3]float64 // TypeDecl, FieldTypeDecl, SMFieldTypeRefs
 }
 
-// simCell is one simulated configuration: cycle count plus program
-// output, kept so optimized runs can be checked against the base.
-type simCell struct {
-	cycles uint64
-	out    string
+// simConfig is one simulated configuration: the options its Analyzer
+// is built with, and the label its errors carry.
+type simConfig struct {
+	name string
+	opts []tbaa.Option
 }
 
-// Figure8 simulates every benchmark unoptimized and under RLE at each
-// analysis level.
-func Figure8() ([]Figure8Row, error) { return sequential.Figure8() }
+// simBase is the unoptimized configuration the figures divide by.
+var simBase = simConfig{name: "base"}
 
-// Figure8 fans out one cell per benchmark × {base, TypeDecl,
-// FieldTypeDecl, SMFieldTypeRefs}.
-func (r *Runner) Figure8() ([]Figure8Row, error) {
-	bs := MeasuredBenchmarks()
-	stride := 1 + len(paperLevels)
+// simPercents simulates every measured benchmark under each
+// configuration, one cell per (benchmark × configuration), and returns
+// per benchmark the simulated cycles of configs[1:] as percentages of
+// the base configuration configs[0]. A configuration whose program
+// output differs from the base's is an error.
+func (r *Runner) simPercents(configs ...simConfig) ([][]float64, error) {
+	type simCell struct {
+		cycles uint64
+		out    string
+	}
+	bs := bench.Measured()
+	stride := len(configs)
 	cells := make([]simCell, len(bs)*stride)
-	err := r.run(len(cells), func(ci int) error {
-		b, j := bs[ci/stride], ci%stride
-		var options []Option
-		if j > 0 {
-			options = []Option{WithLevel(paperLevels[j-1]), WithPasses(RLE())}
-		}
-		a, err := r.analyzer(b, options...)
+	err := par.Run(r.workers, len(cells), func(ci int) error {
+		b, c := bs[ci/stride], configs[ci%stride]
+		a, err := r.analyzer(b, c.opts...)
 		if err != nil {
 			return err
 		}
 		res, out, err := a.Simulate()
 		if err != nil {
-			if j == 0 {
-				return fmt.Errorf("%s: %w", b.Name, err)
-			}
-			return fmt.Errorf("%s (%v): %w", b.Name, paperLevels[j-1], err)
+			return fmt.Errorf("%s (%s): %w", b.Name, c.name, err)
 		}
 		cells[ci] = simCell{res.Cycles, out}
 		return nil
@@ -484,18 +395,34 @@ func (r *Runner) Figure8() ([]Figure8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Figure8Row, len(bs))
+	pcts := make([][]float64, len(bs))
 	for i, b := range bs {
 		base := cells[i*stride]
-		row := Figure8Row{Name: b.Name, BaseCycles: base.cycles}
-		for li, lvl := range paperLevels {
-			c := cells[i*stride+1+li]
+		for j := 1; j < stride; j++ {
+			c := cells[i*stride+j]
 			if c.out != base.out {
-				return nil, fmt.Errorf("%s (%v): output changed by optimization", b.Name, lvl)
+				return nil, fmt.Errorf("%s (%s): output changed by optimization", b.Name, configs[j].name)
 			}
-			row.Pct[li] = 100 * float64(c.cycles) / float64(base.cycles)
+			pcts[i] = append(pcts[i], 100*float64(c.cycles)/float64(base.cycles))
 		}
-		rows[i] = row
+	}
+	return pcts, nil
+}
+
+// Figure8 simulates every benchmark unoptimized and under RLE at each
+// analysis level.
+func (r *Runner) Figure8() ([]Figure8Row, error) {
+	configs := []simConfig{simBase}
+	for _, lvl := range paperLevels {
+		configs = append(configs, simConfig{lvl.String(), []tbaa.Option{tbaa.WithLevel(lvl), tbaa.WithPasses(tbaa.RLE())}})
+	}
+	pcts, err := r.simPercents(configs...)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Figure8Row, len(pcts))
+	for i, b := range bench.Measured() {
+		rows[i] = Figure8Row{Name: b.Name, Pct: [3]float64(pcts[i])}
 	}
 	return rows, nil
 }
@@ -523,23 +450,27 @@ type Figure9Row struct {
 // limitCells runs the limit study per benchmark on the unoptimized
 // program (cell 0) and on the TBAA+RLE-optimized program (cell 1) —
 // the shared fan-out behind Figures 9 and 10.
-func (r *Runner) limitCells(bs []Benchmark) ([]limit.Report, error) {
+func (r *Runner) limitCells(bs []bench.Benchmark) ([]limit.Report, error) {
 	reps := make([]limit.Report, 2*len(bs))
-	err := r.run(len(reps), func(ci int) error {
+	err := par.Run(r.workers, len(reps), func(ci int) error {
 		b, optimized := bs[ci/2], ci%2 == 1
 		var rep limit.Report
 		var err error
 		if optimized {
-			var a *Analyzer
-			a, err = r.analyzer(b, WithPasses(RLE()))
-			if err != nil {
-				return err
+			a, aerr := r.analyzer(b, tbaa.WithPasses(tbaa.RLE()))
+			if aerr != nil {
+				return aerr
 			}
-			rep, _, err = a.limitReport()
+			var lr tbaa.LimitReport
+			lr, _, err = a.LimitStudy()
+			rep = limit.Report{HeapLoads: lr.HeapLoads, Redundant: lr.Redundant}
+			for c, cc := range lr.Categories {
+				rep.ByCategory[c] = cc.Loads
+			}
 		} else {
-			var prog, perr = r.compile(b)
-			if perr != nil {
-				return perr
+			prog, _, cerr := driver.Compile(b.Name+".m3", b.Source)
+			if cerr != nil {
+				return fmt.Errorf("%s: %w", b.Name, cerr)
 			}
 			rep, _, err = limit.Measure(prog, nil, nil)
 		}
@@ -556,11 +487,9 @@ func (r *Runner) limitCells(bs []Benchmark) ([]limit.Report, error) {
 }
 
 // Figure9 runs the limit study on original and optimized programs.
-func Figure9() ([]Figure9Row, error) { return sequential.Figure9() }
-
-// Figure9 fans out one cell per benchmark × {original, optimized}.
+// It fans out one cell per benchmark × {original, optimized}.
 func (r *Runner) Figure9() ([]Figure9Row, error) {
-	bs := MeasuredBenchmarks()
+	bs := bench.Measured()
 	reps, err := r.limitCells(bs)
 	if err != nil {
 		return nil, err
@@ -598,11 +527,9 @@ type Figure10Row struct {
 }
 
 // Figure10 classifies the redundant loads remaining after TBAA+RLE.
-func Figure10() ([]Figure10Row, error) { return sequential.Figure10() }
-
-// Figure10 fans out one cell per benchmark × {original, optimized}.
+// It fans out one cell per benchmark × {original, optimized}.
 func (r *Runner) Figure10() ([]Figure10Row, error) {
-	bs := MeasuredBenchmarks()
+	bs := bench.Measured()
 	reps, err := r.limitCells(bs)
 	if err != nil {
 		return nil, err
@@ -646,48 +573,19 @@ type Figure11Row struct {
 }
 
 // Figure11 measures RLE, devirt+inline, and their combination.
-func Figure11() ([]Figure11Row, error) { return sequential.Figure11() }
-
-// Figure11 fans out one cell per benchmark × {base, RLE, Minv+Inline,
-// both}.
 func (r *Runner) Figure11() ([]Figure11Row, error) {
-	bs := MeasuredBenchmarks()
-	configs := [][]Option{
-		nil, // base
-		{WithPasses(RLE())},
-		{WithPasses(MinvInline())},
-		{WithPasses(MinvInline(), RLE())},
-	}
-	stride := len(configs)
-	cells := make([]simCell, len(bs)*stride)
-	err := r.run(len(cells), func(ci int) error {
-		b, options := bs[ci/stride], configs[ci%stride]
-		a, err := r.analyzer(b, options...)
-		if err != nil {
-			return err
-		}
-		res, out, err := a.Simulate()
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		cells[ci] = simCell{res.Cycles, out}
-		return nil
-	})
+	pcts, err := r.simPercents(
+		simBase,
+		simConfig{"RLE", []tbaa.Option{tbaa.WithPasses(tbaa.RLE())}},
+		simConfig{"Minv+Inlining", []tbaa.Option{tbaa.WithPasses(tbaa.MinvInline())}},
+		simConfig{"RLE+Minv+Inlining", []tbaa.Option{tbaa.WithPasses(tbaa.MinvInline(), tbaa.RLE())}},
+	)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Figure11Row, len(bs))
-	for i, b := range bs {
-		base := cells[i*stride]
-		for j := 1; j < stride; j++ {
-			if cells[i*stride+j].out != base.out {
-				return nil, fmt.Errorf("%s: output changed", b.Name)
-			}
-		}
-		pct := func(j int) float64 {
-			return 100 * float64(cells[i*stride+j].cycles) / float64(base.cycles)
-		}
-		rows[i] = Figure11Row{Name: b.Name, RLE: pct(1), MinvInline: pct(2), Both: pct(3)}
+	rows := make([]Figure11Row, len(pcts))
+	for i, b := range bench.Measured() {
+		rows[i] = Figure11Row{Name: b.Name, RLE: pcts[i][0], MinvInline: pcts[i][1], Both: pcts[i][2]}
 	}
 	return rows, nil
 }
@@ -712,46 +610,18 @@ type Figure12Row struct {
 }
 
 // Figure12 compares RLE under the closed- and open-world assumptions.
-func Figure12() ([]Figure12Row, error) { return sequential.Figure12() }
-
-// Figure12 fans out one cell per benchmark × {base, closed, open}.
 func (r *Runner) Figure12() ([]Figure12Row, error) {
-	bs := MeasuredBenchmarks()
-	const stride = 3
-	cells := make([]simCell, len(bs)*stride)
-	err := r.run(len(cells), func(ci int) error {
-		b, j := bs[ci/stride], ci%stride
-		var options []Option
-		if j > 0 {
-			options = []Option{WithOpenWorld(j == 2), WithPasses(RLE())}
-		}
-		a, err := r.analyzer(b, options...)
-		if err != nil {
-			return err
-		}
-		res, out, err := a.Simulate()
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		cells[ci] = simCell{res.Cycles, out}
-		return nil
-	})
+	pcts, err := r.simPercents(
+		simBase,
+		simConfig{"RLE closed world", []tbaa.Option{tbaa.WithOpenWorld(false), tbaa.WithPasses(tbaa.RLE())}},
+		simConfig{"RLE open world", []tbaa.Option{tbaa.WithOpenWorld(true), tbaa.WithPasses(tbaa.RLE())}},
+	)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Figure12Row, len(bs))
-	for i, b := range bs {
-		base := cells[i*stride]
-		for j := 1; j < stride; j++ {
-			if cells[i*stride+j].out != base.out {
-				return nil, fmt.Errorf("%s: output changed by optimization", b.Name)
-			}
-		}
-		rows[i] = Figure12Row{
-			Name:   b.Name,
-			Closed: 100 * float64(cells[i*stride+1].cycles) / float64(base.cycles),
-			Open:   100 * float64(cells[i*stride+2].cycles) / float64(base.cycles),
-		}
+	rows := make([]Figure12Row, len(pcts))
+	for i, b := range bench.Measured() {
+		rows[i] = Figure12Row{Name: b.Name, Closed: pcts[i][0], Open: pcts[i][1]}
 	}
 	return rows, nil
 }
@@ -767,6 +637,15 @@ func FprintFigure12(w io.Writer, rows []Figure12Row) {
 
 // ---------------------------------------------------------------------------
 // Artifact dispatch
+
+// WriteJSON writes rows as an indented JSON array: TableFS rows are the
+// BENCH_fs.json artifact, TableIP rows BENCH_ip.json, and MeasureScale
+// rows BENCH_scale.json, which benchguard -scale gates.
+func WriteJSON[T any](w io.Writer, rows []T) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rows)
+}
 
 // TableFSIndex selects Table FS (the flow-sensitive extension table)
 // in WriteArtifacts' table parameter; the paper's own tables keep their
@@ -786,85 +665,39 @@ const TableIPIndex = 8
 // behind cmd/tbaabench.
 func (r *Runner) WriteArtifacts(w io.Writer, table, figure int) error {
 	all := table == 0 && figure == 0
-	if all || table == 4 {
-		rows, err := r.Table4()
-		if err != nil {
-			return err
-		}
-		FprintTable4(w, rows)
-		fmt.Fprintln(w)
+	artifacts := []struct {
+		selected bool
+		write    func() error
+	}{
+		{table == 4, func() error { return emit(w, r.Table4, FprintTable4) }},
+		{table == 5, func() error { return emit(w, r.Table5, FprintTable5) }},
+		{table == 6, func() error { return emit(w, r.Table6, FprintTable6) }},
+		{table == TableFSIndex, func() error { return emit(w, r.TableFS, FprintTableFS) }},
+		{table == TableIPIndex, func() error { return emit(w, r.TableIP, FprintTableIP) }},
+		{figure == 8, func() error { return emit(w, r.Figure8, FprintFigure8) }},
+		{figure == 9, func() error { return emit(w, r.Figure9, FprintFigure9) }},
+		{figure == 10, func() error { return emit(w, r.Figure10, FprintFigure10) }},
+		{figure == 11, func() error { return emit(w, r.Figure11, FprintFigure11) }},
+		{figure == 12, func() error { return emit(w, r.Figure12, FprintFigure12) }},
 	}
-	if all || table == 5 {
-		rows, err := r.Table5()
-		if err != nil {
-			return err
+	for _, a := range artifacts {
+		if all || a.selected {
+			if err := a.write(); err != nil {
+				return err
+			}
 		}
-		FprintTable5(w, rows)
-		fmt.Fprintln(w)
 	}
-	if all || table == 6 {
-		rows, err := r.Table6()
-		if err != nil {
-			return err
-		}
-		FprintTable6(w, rows)
-		fmt.Fprintln(w)
+	return nil
+}
+
+// emit regenerates one artifact and renders it to w, followed by a
+// blank separator line.
+func emit[T any](w io.Writer, gen func() ([]T, error), fprint func(io.Writer, []T)) error {
+	rows, err := gen()
+	if err != nil {
+		return err
 	}
-	if all || table == TableFSIndex {
-		rows, err := r.TableFS()
-		if err != nil {
-			return err
-		}
-		FprintTableFS(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || table == TableIPIndex {
-		rows, err := r.TableIP()
-		if err != nil {
-			return err
-		}
-		FprintTableIP(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || figure == 8 {
-		rows, err := r.Figure8()
-		if err != nil {
-			return err
-		}
-		FprintFigure8(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || figure == 9 {
-		rows, err := r.Figure9()
-		if err != nil {
-			return err
-		}
-		FprintFigure9(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || figure == 10 {
-		rows, err := r.Figure10()
-		if err != nil {
-			return err
-		}
-		FprintFigure10(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || figure == 11 {
-		rows, err := r.Figure11()
-		if err != nil {
-			return err
-		}
-		FprintFigure11(w, rows)
-		fmt.Fprintln(w)
-	}
-	if all || figure == 12 {
-		rows, err := r.Figure12()
-		if err != nil {
-			return err
-		}
-		FprintFigure12(w, rows)
-		fmt.Fprintln(w)
-	}
+	fprint(w, rows)
+	fmt.Fprintln(w)
 	return nil
 }

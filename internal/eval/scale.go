@@ -1,7 +1,6 @@
-package tbaa
+package eval
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -10,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"tbaa"
 	"tbaa/internal/alias"
 	"tbaa/internal/bench"
+	"tbaa/internal/driver"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
 	"tbaa/internal/randprog"
@@ -33,20 +34,20 @@ import (
 // same programs on every machine for exponents to be comparable.
 const scaleSeed = 1
 
-// ScaleSizes returns the module-size sweep in target source lines. The
+// scaleSizes returns the module-size sweep in target source lines. The
 // trimmed per-PR sweep keeps the 10x span the gate needs with two
 // points; the full (nightly) sweep adds the midpoint.
-func ScaleSizes(full bool) []int {
+func scaleSizes(full bool) []int {
 	if full {
 		return []int{10_000, 32_000, 100_000}
 	}
 	return []int{10_000, 100_000}
 }
 
-// ScaleMegaBenchmark is the checked-in program-shaped companion of the
+// scaleMegaBenchmark is the checked-in program-shaped companion of the
 // generated corpus, measured alongside it (not exponent-gated — one
 // program has no growth curve).
-const ScaleMegaBenchmark = "lower-vm"
+const scaleMegaBenchmark = "lower-vm"
 
 // ScaleRow is one measured (module, level, op) cell of the sweep.
 type ScaleRow struct {
@@ -73,8 +74,8 @@ type ScaleRow struct {
 
 // scaleLevels is the level sweep: the paper's three plus both
 // extensions.
-func scaleLevels() []Level {
-	return []Level{TypeDecl, FieldTypeDecl, SMFieldTypeRefs, FSTypeRefs, IPTypeRefs}
+func scaleLevels() []tbaa.Level {
+	return []tbaa.Level{tbaa.TypeDecl, tbaa.FieldTypeDecl, tbaa.SMFieldTypeRefs, tbaa.FSTypeRefs, tbaa.IPTypeRefs}
 }
 
 // scaleEditProc extracts the first top-level PROCEDURE declaration of
@@ -131,7 +132,7 @@ func minDuration(reps int, fn func() error) (time.Duration, error) {
 // trimmed sweep.
 func MeasureScale(full bool) ([]ScaleRow, error) {
 	var rows []ScaleRow
-	for _, target := range ScaleSizes(full) {
+	for _, target := range scaleSizes(full) {
 		src := randprog.GenerateScale(scaleSeed, randprog.ScaleConfigForLines(target))
 		name := fmt.Sprintf("randprog-%d", target)
 		r, err := measureScaleModule(name, target, src)
@@ -140,7 +141,7 @@ func MeasureScale(full bool) ([]ScaleRow, error) {
 		}
 		rows = append(rows, r...)
 	}
-	if mega, ok := bench.ByName(ScaleMegaBenchmark); ok {
+	if mega, ok := bench.ByName(scaleMegaBenchmark); ok {
 		r, err := measureScaleModule(mega.Name, 0, mega.Source)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mega.Name, err)
@@ -152,9 +153,9 @@ func MeasureScale(full bool) ([]ScaleRow, error) {
 
 func measureScaleModule(name string, target int, src string) ([]ScaleRow, error) {
 	lines := strings.Count(src, "\n")
-	var mod *Module
+	var mod *tbaa.Module
 	compileT, err := minDuration(3, func() error {
-		m, err := Compile(name+".m3", src)
+		m, err := tbaa.Compile(name+".m3", src)
 		mod = m
 		return err
 	})
@@ -165,7 +166,7 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 	// artifact directory. The RebuildOneProc rows below edit mod in
 	// place, which (correctly) disables its artifact cacheability — so
 	// the warm rows need a module no edit ever touches.
-	warmMod, err := Compile(name+".m3", src)
+	warmMod, err := tbaa.Compile(name+".m3", src)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +187,10 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 
 	// Level-independent stages: the frontend and both mod-ref summary
 	// constructions, on a private lowering.
-	prog := mod.lower()
+	prog, _, err := driver.Compile(name+".m3", src)
+	if err != nil {
+		return nil, err
+	}
 	base.Procs = len(prog.Procs)
 	base.Refs = len(alias.References(prog))
 	_ = ir.InternAPs(prog)
@@ -213,15 +217,15 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 		// measurements then run against the same live heap (the two
 		// modules' front-end state), so neither is taxed with marking
 		// the other's result.
-		if _, err := warmMod.NewAnalyzer(WithLevel(lvl), WithArtifactCache(artDir)); err != nil {
+		if _, err := warmMod.NewAnalyzer(tbaa.WithLevel(lvl), tbaa.WithArtifactCache(artDir)); err != nil {
 			return nil, err
 		}
 		warmT, err := minDuration(2, func() error {
-			w, err := warmMod.NewAnalyzer(WithLevel(lvl), WithArtifactCache(artDir))
+			w, err := warmMod.NewAnalyzer(tbaa.WithLevel(lvl), tbaa.WithArtifactCache(artDir))
 			if err != nil {
 				return err
 			}
-			if w.ArtifactStatus() != ArtifactHit {
+			if w.ArtifactStatus() != tbaa.ArtifactHit {
 				return fmt.Errorf("warm start at %s: artifact status %s, want hit", lvl, w.ArtifactStatus())
 			}
 			wn := w.Paths()
@@ -235,9 +239,9 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 			return nil, err
 		}
 
-		var a *Analyzer
+		var a *tbaa.Analyzer
 		buildT, err := minDuration(2, func() error {
-			built, err := mod.NewAnalyzer(WithLevel(lvl))
+			built, err := mod.NewAnalyzer(tbaa.WithLevel(lvl))
 			if err != nil {
 				return err
 			}
@@ -264,19 +268,19 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 		if hotN > len(names) {
 			hotN = len(names)
 		}
-		hot := make([]Pair, 0, hotN)
+		hot := make([]tbaa.Pair, 0, hotN)
 		for i := 0; i < hotN; i++ {
-			hot = append(hot, Pair{P: names[i], Q: names[(i*7+1)%hotN]})
+			hot = append(hot, tbaa.Pair{P: names[i], Q: names[(i*7+1)%hotN]})
 		}
 		// Rand: pairs strided across the whole path set — the
 		// working-set-of-everything shape an analysis client produces.
-		rand := make([]Pair, 0, 4096)
+		rand := make([]tbaa.Pair, 0, 4096)
 		for i := 0; len(rand) < cap(rand); i++ {
-			rand = append(rand, Pair{P: names[(i*2654435761)%len(names)], Q: names[(i*40503+1)%len(names)]})
+			rand = append(rand, tbaa.Pair{P: names[(i*2654435761)%len(names)], Q: names[(i*40503+1)%len(names)]})
 		}
 		a.CountPairs() // warm flow facts before timed queries
 
-		measure := func(pairs []Pair) float64 {
+		measure := func(pairs []tbaa.Pair) float64 {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					pr := pairs[i%len(pairs)]
@@ -328,23 +332,6 @@ func measureScaleModule(name string, target int, src string) ([]ScaleRow, error)
 		row("-", "SummaryCHA", float64(chaT.Nanoseconds())),
 		row("-", "SummaryRTA", float64(rtaT.Nanoseconds())),
 	)
-	return rows, nil
-}
-
-// WriteScaleJSON writes the sweep as indented JSON — the artifact CI
-// stores as BENCH_scale.json and benchguard -scale gates.
-func WriteScaleJSON(w io.Writer, rows []ScaleRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// ReadScaleJSON parses a sweep artifact written by WriteScaleJSON.
-func ReadScaleJSON(r io.Reader) ([]ScaleRow, error) {
-	var rows []ScaleRow
-	if err := json.NewDecoder(r).Decode(&rows); err != nil {
-		return nil, err
-	}
 	return rows, nil
 }
 

@@ -1,9 +1,10 @@
-package tbaa
+package eval
 
 import (
 	"strings"
 	"testing"
 
+	"tbaa"
 	"tbaa/internal/bench"
 	"tbaa/internal/randprog"
 )
@@ -24,7 +25,7 @@ func checkScaleEdit(t *testing.T, name, src string) {
 	if !strings.HasPrefix(procSrc, "PROCEDURE ") || !strings.HasSuffix(procSrc, ";") {
 		t.Fatalf("%s: extracted text is not a procedure declaration:\n%s", name, procSrc)
 	}
-	a, err := New(name+".m3", src)
+	a, err := tbaa.New(name+".m3", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +46,9 @@ func TestScaleEditProcGenerated(t *testing.T) {
 }
 
 func TestScaleEditProcMegaBenchmark(t *testing.T) {
-	mega, ok := bench.ByName(ScaleMegaBenchmark)
+	mega, ok := bench.ByName(scaleMegaBenchmark)
 	if !ok {
-		t.Fatalf("no stock benchmark %q", ScaleMegaBenchmark)
+		t.Fatalf("no stock benchmark %q", scaleMegaBenchmark)
 	}
 	checkScaleEdit(t, mega.Name, mega.Source)
 }

@@ -18,7 +18,7 @@ import (
 // baseline stays comparable across hardware — the property an absolute
 // ns/op threshold lacks.
 
-// ScaleRow mirrors the BENCH_scale.json schema (tbaa.ScaleRow); guard
+// ScaleRow mirrors the BENCH_scale.json schema (eval.ScaleRow); guard
 // redeclares it so the package stays dependency-free and testable.
 type ScaleRow struct {
 	Benchmark string  `json:"benchmark"`

@@ -99,8 +99,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // safe for concurrent use; the zero Registry is not usable — construct
 // with New so the per-op histograms exist.
 type Registry struct {
-	// Query traffic, mirroring tbaa.Stats: verdicts produced, verdicts
-	// that answered "may alias", and batch calls.
+	// Query traffic: answered verdicts, verdicts that answered "may
+	// alias", and answered batches. The server's per-module session
+	// counts add up to the same totals.
 	Queries atomic.Uint64
 	Aliased atomic.Uint64
 	Batches atomic.Uint64

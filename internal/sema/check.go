@@ -129,18 +129,6 @@ func (c *checker) collectTypes() {
 		}
 		c.typeNames[td.Name] = t
 	}
-	// Pass 3: detect supertype cycles.
-	for _, o := range c.u.ObjectTypes() {
-		seen := map[*types.Object]bool{}
-		for t := o; t != nil; t = t.Super {
-			if seen[t] {
-				c.errorf(token.Pos{Line: 1, Col: 1}, "object type cycle through %s", o.Name)
-				o.Super = nil
-				break
-			}
-			seen[t] = true
-		}
-	}
 }
 
 func (c *checker) resolveObject(obj *types.Object, ot *ast.ObjectType) {
@@ -149,6 +137,15 @@ func (c *checker) resolveObject(obj *types.Object, ot *ast.ObjectType) {
 		if !ok {
 			c.errorf(ot.ObjPos, "undefined supertype %s", ot.Super)
 		} else if so, ok := st.(*types.Object); ok {
+			// Every earlier link was checked the same way, so so's chain
+			// is acyclic; it reaches obj exactly when this link would
+			// close a cycle.
+			for t := so; t != nil; t = t.Super {
+				if t == obj {
+					c.errorf(ot.ObjPos, "object type cycle through %s", obj.Name)
+					return
+				}
+			}
 			obj.Super = so
 			// Re-register the child edge: NewObject ran before Super was known.
 			c.u.AddChild(so, obj)

@@ -218,6 +218,8 @@ BEGIN a := NEW(A); END M.`, "requires a length")
 MODULE M;
 PROCEDURE F(): INTEGER = BEGIN RETURN; END F;
 BEGIN END M.`, "RETURN without value")
+	checkErr(t, `MODULE M; TYPE B = B OBJECT w: INTEGER; END; BEGIN END M.`, "test.m3:1:20: object type cycle through B")
+	checkErr(t, `MODULE M; TYPE A = B OBJECT END; B = A OBJECT END; BEGIN END M.`, "test.m3:1:38: object type cycle through B")
 }
 
 func TestVarParamTypeEquality(t *testing.T) {

@@ -138,8 +138,9 @@ type BatchResponse struct {
 	Stats      SessionStats  `json:"stats"`
 }
 
-// SessionStats snapshots a module's per-session counters (the
-// tbaa.Stats attached to its analyzers).
+// SessionStats snapshots a module's session counts: answered verdicts,
+// the may-alias ones among them, and answered batches, over every
+// configuration and generation of the module.
 type SessionStats struct {
 	Queries uint64 `json:"queries"`
 	Aliased uint64 `json:"aliased"`

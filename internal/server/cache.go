@@ -49,15 +49,14 @@ type analyzerKey struct {
 }
 
 // analyzer returns the generation's Analyzer for the key, building and
-// memoizing it on first use. Stats is attached to every analyzer of
-// the entry so per-module counters aggregate across configurations.
+// memoizing it on first use.
 //
 // With a cache directory configured the build goes through the disk
 // tier — a warm restart decodes the persisted snapshot instead of
 // re-analyzing — unless the entry is dirty (edited since install):
 // then the on-disk key names semantics the module no longer has, so
 // the build is forced from scratch and nothing is written back.
-func (g *generation) analyzer(key analyzerKey, stats *tbaa.Stats) (*tbaa.Analyzer, error) {
+func (g *generation) analyzer(key analyzerKey) (*tbaa.Analyzer, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if a, ok := g.analyzers[key]; ok {
@@ -66,7 +65,6 @@ func (g *generation) analyzer(key analyzerKey, stats *tbaa.Stats) (*tbaa.Analyze
 	opts := []tbaa.Option{
 		tbaa.WithLevel(key.level),
 		tbaa.WithOpenWorld(key.open),
-		tbaa.WithStats(stats),
 	}
 	if g.cacheDir != "" && !g.dirty.Load() {
 		opts = append(opts, tbaa.WithArtifactCache(g.cacheDir))
@@ -89,12 +87,15 @@ func (g *generation) analyzer(key analyzerKey, stats *tbaa.Stats) (*tbaa.Analyze
 
 // entry is one resident module: its content hash, the current
 // generation behind an atomic pointer (readers load it once and stay
-// on it), and the per-module session stats every generation's
-// analyzers share.
+// on it), and the module's session counts, which span generations.
 type entry struct {
-	hash  string
-	gen   atomic.Pointer[generation]
-	stats *tbaa.Stats
+	hash string
+	gen  atomic.Pointer[generation]
+
+	// queries, aliased and batches are the session counts Server.count
+	// keeps: answered verdicts, the may-alias ones among them, and
+	// answered batches.
+	queries, aliased, batches atomic.Uint64
 
 	// quar tracks recovered panics per analyzer configuration and
 	// refuses quarantined ones; a force re-upload (install's swap path)
@@ -267,7 +268,7 @@ func (c *moduleCache) install(mod *tbaa.Module, file string) (e *entry, gen uint
 		}
 		c.reg.Evictions.Add(1)
 	}
-	e = &entry{hash: hash, stats: &tbaa.Stats{}, quar: quarantine{threshold: c.quarAfter}}
+	e = &entry{hash: hash, quar: quarantine{threshold: c.quarAfter}}
 	first := &generation{
 		seq: 1, mod: mod, file: file,
 		cacheDir: c.cacheDir, reg: c.reg, dirty: &e.dirty,
@@ -304,29 +305,20 @@ func (c *moduleCache) evictLRU() bool {
 	return c.evictLRULocked()
 }
 
-// moduleInfo is one row of the resident-module listing.
-type moduleInfo struct {
-	Hash       string `json:"hash"`
-	File       string `json:"file"`
-	Generation uint64 `json:"generation"`
-	Queries    uint64 `json:"queries"`
-	Batches    uint64 `json:"batches"`
-}
-
 // list returns the resident modules, most recently used first.
-func (c *moduleCache) list() []moduleInfo {
+func (c *moduleCache) list() []ModuleInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]moduleInfo, 0, c.order.Len())
+	out := make([]ModuleInfo, 0, c.order.Len())
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		g := e.gen.Load()
-		out = append(out, moduleInfo{
+		out = append(out, ModuleInfo{
 			Hash:       e.hash,
 			File:       g.file,
 			Generation: g.seq,
-			Queries:    e.stats.Queries(),
-			Batches:    e.stats.Batches(),
+			Queries:    e.queries.Load(),
+			Batches:    e.batches.Load(),
 		})
 	}
 	return out

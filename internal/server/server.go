@@ -20,7 +20,9 @@
 //     from two generations.
 //   - Observability: /metrics exposes the shared internal/metrics
 //     vocabulary in Prometheus text format; /healthz answers liveness probes; every
-//     module carries per-session tbaa.Stats reported in its responses.
+//     module carries session counts reported in batch responses and in
+//     the module listing. Server.count is the one place verdicts are
+//     counted, so those counts and /metrics agree.
 package server
 
 import (
@@ -303,12 +305,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModules(w http.ResponseWriter, r *http.Request) {
-	rows := s.cache.list()
-	resp := ModulesResponse{Modules: make([]ModuleInfo, len(rows))}
-	for i, m := range rows {
-		resp.Modules[i] = ModuleInfo(m)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ModulesResponse{Modules: s.cache.list()})
 }
 
 // resolve turns the request's {hash} and level selection into the
@@ -349,7 +346,7 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, lv LevelRequest
 			panic("injected analyzer build panic (" + fault.BuildPanic + ")")
 		}
 		var err error
-		a, err = g.analyzer(key, e.stats)
+		a, err = g.analyzer(key)
 		if err != nil {
 			return err
 		}
@@ -371,7 +368,7 @@ func (s *Server) handleMayAlias(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, s.cfg.MaxSourceBytes, &req) {
 		return
 	}
-	_, g, a := s.resolve(w, r, req.LevelRequest)
+	e, g, a := s.resolve(w, r, req.LevelRequest)
 	if a == nil {
 		return
 	}
@@ -380,10 +377,11 @@ func (s *Server) handleMayAlias(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-	s.reg.Queries.Add(1)
+	var aliased uint64
 	if may {
-		s.reg.Aliased.Add(1)
+		aliased = 1
 	}
+	s.count(e, 1, aliased, 0)
 	s.reg.Observe(metrics.OpMayAlias, time.Since(start))
 	writeJSON(w, http.StatusOK, QueryResponse{MayAlias: may, Generation: g.seq})
 }
@@ -416,6 +414,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Generation: g.seq,
 	}
 	var timedOut bool
+	var answered, aliased uint64
 	for i, v := range verdicts {
 		vj := VerdictJSON{P: v.Pair.P, Q: v.Pair.Q, MayAlias: v.MayAlias}
 		if v.Err != nil {
@@ -425,26 +424,42 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				timedOut = true
 			}
 		} else {
-			s.reg.Queries.Add(1)
+			answered++
 			if v.MayAlias {
-				s.reg.Aliased.Add(1)
+				aliased++
 			}
 		}
 		resp.Verdicts[i] = vj
 	}
 	if timedOut {
+		// The verdicts answered before the deadline count; the batch,
+		// which is not answered, does not.
+		s.count(e, answered, aliased, 0)
 		writeError(w, http.StatusGatewayTimeout,
 			fmt.Sprintf("batch exceeded the %s request timeout", s.cfg.RequestTimeout), nil)
 		return
 	}
+	s.count(e, answered, aliased, 1)
 	resp.Stats = SessionStats{
-		Queries: e.stats.Queries(),
-		Aliased: e.stats.Aliased(),
-		Batches: e.stats.Batches(),
+		Queries: e.queries.Load(),
+		Aliased: e.aliased.Load(),
+		Batches: e.batches.Load(),
 	}
-	s.reg.Batches.Add(1)
 	s.reg.Observe(metrics.OpMayAliasBatch, time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// count adds one request's answered verdicts, the may-alias ones
+// among them, and its answered batches to the module's session counts
+// and to the registry. It is the one place the server counts verdicts,
+// so batch stats, /v1/modules and /metrics report the same totals.
+func (s *Server) count(e *entry, queries, aliased, batches uint64) {
+	e.queries.Add(queries)
+	e.aliased.Add(aliased)
+	e.batches.Add(batches)
+	s.reg.Queries.Add(queries)
+	s.reg.Aliased.Add(aliased)
+	s.reg.Batches.Add(batches)
 }
 
 func (s *Server) handleCountPairs(w http.ResponseWriter, r *http.Request) {

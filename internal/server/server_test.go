@@ -458,6 +458,90 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestSessionCountsMatchRegistry drives single queries, batches (one
+// with an unknown path) and one timed-out batch at one module, then
+// requires the batch stats, the /v1/modules row and /metrics to report
+// the same totals: answered verdicts count wherever they were answered,
+// and a batch counts only when it is answered.
+func TestSessionCountsMatchRegistry(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	// Requests are served in the test goroutine, so the request timeout
+	// can be lowered for one batch and restored without a data race.
+	do := func(method, path string, body, out any) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if body != nil {
+			if err := json.NewEncoder(&buf).Encode(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, &buf))
+		if out != nil {
+			if err := json.NewDecoder(rec.Body).Decode(out); err != nil {
+				t.Fatalf("%s %s: decoding status %d response: %v", method, path, rec.Code, err)
+			}
+		}
+		return rec.Code
+	}
+	file, src := srcModule(50)
+	var up UploadResponse
+	if status := do("POST", "/v1/modules", UploadRequest{File: file, Source: src}, &up); status != http.StatusCreated {
+		t.Fatalf("upload: status %d", status)
+	}
+	base := "/v1/modules/" + up.Hash
+	_, names := analyzerPaths(t, file, src)
+	for _, q := range names {
+		if status := do("POST", base+"/mayalias", QueryRequest{P: names[0], Q: q}, &QueryResponse{}); status != http.StatusOK {
+			t.Fatalf("mayalias: status %d", status)
+		}
+	}
+
+	s.cfg.RequestTimeout = time.Nanosecond
+	slow := make([]PairJSON, 2048)
+	for i := range slow {
+		slow[i] = PairJSON{P: names[i%len(names)], Q: names[(i+1)%len(names)]}
+	}
+	if status := do("POST", base+"/mayalias-batch", BatchRequest{Pairs: slow}, &ErrorResponse{}); status != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out batch: status %d, want 504", status)
+	}
+	s.cfg.RequestTimeout = DefaultRequestTimeout
+
+	var br BatchResponse
+	for _, pairs := range [][]PairJSON{
+		append(allPairs(names), PairJSON{P: "no.such", Q: names[0]}),
+		allPairs(names),
+	} {
+		if status := do("POST", base+"/mayalias-batch", BatchRequest{Pairs: pairs}, &br); status != http.StatusOK {
+			t.Fatalf("batch: status %d", status)
+		}
+	}
+	if br.Stats.Batches != 2 {
+		t.Errorf("session batches = %d, want 2: the timed-out batch must not count", br.Stats.Batches)
+	}
+
+	var mr ModulesResponse
+	if status := do("GET", "/v1/modules", nil, &mr); status != http.StatusOK || len(mr.Modules) != 1 {
+		t.Fatalf("listing: status %d, %d modules", status, len(mr.Modules))
+	}
+	row := mr.Modules[0]
+	if row.Queries != br.Stats.Queries || row.Batches != br.Stats.Batches {
+		t.Errorf("/v1/modules reports queries=%d batches=%d, batch stats %+v", row.Queries, row.Batches, br.Stats)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		fmt.Sprintf("tbaad_queries_total %d\n", br.Stats.Queries),
+		fmt.Sprintf("tbaad_aliased_total %d\n", br.Stats.Aliased),
+		fmt.Sprintf("tbaad_batches_total %d\n", br.Stats.Batches),
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics disagrees with batch stats %+v: missing %q", br.Stats, want)
+		}
+	}
+}
+
 // TestModulesListing checks GET /v1/modules reflects recency order and
 // session counters.
 func TestModulesListing(t *testing.T) {

@@ -14,7 +14,6 @@ type Option func(*config) error
 type config struct {
 	opts     alias.Options
 	passes   []Pass
-	stats    *Stats
 	cacheDir string
 }
 
@@ -103,16 +102,6 @@ func WithArtifactCache(dir string) Option {
 			return errors.New("tbaa: WithArtifactCache: empty directory")
 		}
 		c.cacheDir = dir
-		return nil
-	}
-}
-
-// WithStats attaches a query-counter collector to the Analyzer. One
-// Stats value may be shared by several Analyzers to aggregate across a
-// fleet; its methods are safe for concurrent use.
-func WithStats(s *Stats) Option {
-	return func(c *config) error {
-		c.stats = s
 		return nil
 	}
 }

@@ -1,16 +1,18 @@
 package tbaa_test
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"tbaa"
+	"tbaa/internal/bench"
+	"tbaa/internal/eval"
 )
 
 // render runs one table/figure generator and renders it to a string.
-func render[T any](t *testing.T, gen func() ([]T, error), fprint func(*strings.Builder, []T)) string {
+func render[T any](t *testing.T, gen func() ([]T, error), fprint func(io.Writer, []T)) string {
 	t.Helper()
 	rows, err := gen()
 	if err != nil {
@@ -25,45 +27,45 @@ func render[T any](t *testing.T, gen func() ([]T, error), fprint func(*strings.B
 // a Runner with many workers must emit byte-identical artifacts to the
 // one-worker (historical sequential) path.
 func TestParallelMatchesSequential(t *testing.T) {
-	seq := tbaa.NewRunner(1)
-	par := tbaa.NewRunner(8)
+	seq := eval.NewRunner(1)
+	par := eval.NewRunner(8)
 	check := func(name, a, b string) {
 		if a != b {
 			t.Errorf("%s: parallel output differs from sequential\n--- sequential ---\n%s--- parallel ---\n%s", name, a, b)
 		}
 	}
 	check("Table5",
-		render(t, seq.Table5, func(sb *strings.Builder, rows []tbaa.Table5Row) { tbaa.FprintTable5(sb, rows) }),
-		render(t, par.Table5, func(sb *strings.Builder, rows []tbaa.Table5Row) { tbaa.FprintTable5(sb, rows) }))
+		render(t, seq.Table5, eval.FprintTable5),
+		render(t, par.Table5, eval.FprintTable5))
 	check("Table6",
-		render(t, seq.Table6, func(sb *strings.Builder, rows []tbaa.Table6Row) { tbaa.FprintTable6(sb, rows) }),
-		render(t, par.Table6, func(sb *strings.Builder, rows []tbaa.Table6Row) { tbaa.FprintTable6(sb, rows) }))
+		render(t, seq.Table6, eval.FprintTable6),
+		render(t, par.Table6, eval.FprintTable6))
 	check("TableFS",
-		render(t, seq.TableFS, func(sb *strings.Builder, rows []tbaa.TableFSRow) { tbaa.FprintTableFS(sb, rows) }),
-		render(t, par.TableFS, func(sb *strings.Builder, rows []tbaa.TableFSRow) { tbaa.FprintTableFS(sb, rows) }))
+		render(t, seq.TableFS, eval.FprintTableFS),
+		render(t, par.TableFS, eval.FprintTableFS))
 	check("TableIP",
-		render(t, seq.TableIP, func(sb *strings.Builder, rows []tbaa.TableIPRow) { tbaa.FprintTableIP(sb, rows) }),
-		render(t, par.TableIP, func(sb *strings.Builder, rows []tbaa.TableIPRow) { tbaa.FprintTableIP(sb, rows) }))
+		render(t, seq.TableIP, eval.FprintTableIP),
+		render(t, par.TableIP, eval.FprintTableIP))
 	if testing.Short() {
 		return
 	}
 	check("Table4",
-		render(t, seq.Table4, func(sb *strings.Builder, rows []tbaa.Table4Row) { tbaa.FprintTable4(sb, rows) }),
-		render(t, par.Table4, func(sb *strings.Builder, rows []tbaa.Table4Row) { tbaa.FprintTable4(sb, rows) }))
+		render(t, seq.Table4, eval.FprintTable4),
+		render(t, par.Table4, eval.FprintTable4))
 	check("Figure9",
-		render(t, seq.Figure9, func(sb *strings.Builder, rows []tbaa.Figure9Row) { tbaa.FprintFigure9(sb, rows) }),
-		render(t, par.Figure9, func(sb *strings.Builder, rows []tbaa.Figure9Row) { tbaa.FprintFigure9(sb, rows) }))
+		render(t, seq.Figure9, eval.FprintFigure9),
+		render(t, par.Figure9, eval.FprintFigure9))
 	check("Figure12",
-		render(t, seq.Figure12, func(sb *strings.Builder, rows []tbaa.Figure12Row) { tbaa.FprintFigure12(sb, rows) }),
-		render(t, par.Figure12, func(sb *strings.Builder, rows []tbaa.Figure12Row) { tbaa.FprintFigure12(sb, rows) }))
+		render(t, seq.Figure12, eval.FprintFigure12),
+		render(t, par.Figure12, eval.FprintFigure12))
 }
 
 // TestRunnerModuleCache pins the frontend-cache contract: the Runner
 // hands every cell the same Module, and independent Analyzers built
 // from it see identical program structure.
 func TestRunnerModuleCache(t *testing.T) {
-	r := tbaa.NewRunner(1)
-	b, ok := tbaa.BenchmarkByName("k-tree")
+	r := eval.NewRunner(1)
+	b, ok := bench.ByName("k-tree")
 	if !ok {
 		t.Fatal("k-tree benchmark missing")
 	}
@@ -103,8 +105,8 @@ func TestTable4Golden(t *testing.T) {
 	}
 	// The golden file holds exactly `tbaabench -table 4` output: the
 	// rendered table followed by one blank separator line.
-	got := render(t, tbaa.NewRunner(0).Table4,
-		func(sb *strings.Builder, rows []tbaa.Table4Row) { tbaa.FprintTable4(sb, rows) }) + "\n"
+	got := render(t, eval.NewRunner(0).Table4,
+		eval.FprintTable4) + "\n"
 	if got != string(want) {
 		t.Errorf("Table 4 drifted from testdata/table4.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
@@ -119,8 +121,8 @@ func TestTableFSGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, tbaa.NewRunner(0).TableFS,
-		func(sb *strings.Builder, rows []tbaa.TableFSRow) { tbaa.FprintTableFS(sb, rows) }) + "\n"
+	got := render(t, eval.NewRunner(0).TableFS,
+		eval.FprintTableFS) + "\n"
 	if got != string(want) {
 		t.Errorf("Table FS drifted from testdata/tablefs.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
@@ -136,8 +138,8 @@ func TestTableIPGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(t, tbaa.NewRunner(0).TableIP,
-		func(sb *strings.Builder, rows []tbaa.TableIPRow) { tbaa.FprintTableIP(sb, rows) }) + "\n"
+	got := render(t, eval.NewRunner(0).TableIP,
+		eval.FprintTableIP) + "\n"
 	if got != string(want) {
 		t.Errorf("Table IP drifted from testdata/tableip.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
