@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race bench bench-smoke vet fmt fmt-check golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-baseline bench-scale bench-scale-full bench-scale-baseline tbaad-smoke tbaad-chaos profile cover api api-check examples deps-check fuzz ci
+.PHONY: build test test-race bench bench-smoke vet fmt fmt-check golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-baseline bench-scale bench-scale-full bench-scale-baseline tbaad-smoke tbaad-chaos profile cover api api-check examples deps-check fuzz perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -156,9 +156,15 @@ deps-check:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime=30s .
 
+# perfbench/ is a module of its own that imports the internal front
+# end and analysis packages. go build ./... never sees it, so an
+# internal API change could break the benchmark unseen; vet builds it.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+
 # Examples compile under go build ./...; vet them explicitly too.
 examples:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-ci: build vet fmt-check deps-check test-race bench-smoke golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-scale tbaad-smoke tbaad-chaos cover api-check examples fuzz
+ci: build vet perfbench-check fmt-check deps-check test-race bench-smoke golden golden-fs bench-fs golden-ip bench-ip bench-perf bench-scale tbaad-smoke tbaad-chaos cover api-check examples fuzz

@@ -65,7 +65,7 @@ func (e *PathError) Error() string {
 }
 
 func diagnostic(file string, pos token.Pos, msg string) Diagnostic {
-	d := Diagnostic{File: pos.File, Line: pos.Line, Col: pos.Col, Msg: msg}
+	d := Diagnostic{File: pos.File, Line: int(pos.Line), Col: int(pos.Col), Msg: msg}
 	if d.File == "" {
 		d.File = file
 	}

@@ -1,6 +1,7 @@
 package tbaa_test
 
 import (
+	"strings"
 	"testing"
 
 	"tbaa"
@@ -32,4 +33,24 @@ func checkPositioned(t *testing.T, err error, file string, line, col int, diags 
 	if file == "" || line < 1 || col < 1 || len(diags) == 0 {
 		t.Fatalf("%T without a position (file %q, %d:%d, %d diagnostics): %v", err, file, line, col, len(diags), err)
 	}
+}
+
+// TestCompileBoundsNesting: two megabytes of nested parentheses, deep
+// enough to exhaust the goroutine stack in the checker or the lowerer,
+// are a positioned *ParseError, while an expression just inside the
+// parser's nesting cap compiles.
+func TestCompileBoundsNesting(t *testing.T) {
+	src := func(k int) string {
+		return "MODULE M; VAR x: INTEGER; BEGIN x := " + strings.Repeat("(", k) + "1" +
+			strings.Repeat(")", k) + "; PutInt(x); END M."
+	}
+	if _, err := tbaa.Compile("deep.m3", src(998)); err != nil {
+		t.Fatalf("998 nested parentheses: %v", err)
+	}
+	_, err := tbaa.Compile("deep.m3", src(1_000_000))
+	pe, ok := err.(*tbaa.ParseError)
+	if !ok {
+		t.Fatalf("10^6 nested parentheses: got %T %v, want *ParseError", err, err)
+	}
+	checkPositioned(t, err, pe.File, pe.Line, pe.Col, pe.Diagnostics)
 }

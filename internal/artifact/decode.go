@@ -517,8 +517,8 @@ func (p *progDec) instr(in *ir.Instr, blocks []*ir.Block) {
 	}
 	if mask&imPos != 0 {
 		in.Pos.File = p.str()
-		in.Pos.Line = int(p.dec.u())
-		in.Pos.Col = int(p.dec.u())
+		in.Pos.Line = int32(p.dec.u())
+		in.Pos.Col = int32(p.dec.u())
 	}
 	if mask&imDst != 0 {
 		in.Dst = ir.Reg(p.i())

@@ -12,6 +12,17 @@ type Node interface {
 	Pos() token.Pos
 }
 
+// Num is embedded in every node the checker records facts for: each
+// expression, and the FOR and WITH statements, which declare a
+// variable. The parser numbers these nodes densely from 0 within each
+// procedure declaration (ProcDecl.Nodes counts them), and numbers the
+// global initializers and the module body in one more sequence
+// (Module.Nodes), so per-node facts fit in slices.
+type Num struct{ N int32 }
+
+// Number returns the node's number within its declaration.
+func (n Num) Number() int { return int(n.N) }
+
 // ---------------------------------------------------------------------------
 // Module structure
 
@@ -21,6 +32,9 @@ type Module struct {
 	Decls   []Decl
 	Body    []Stmt // main body between BEGIN and END
 	NamePos token.Pos
+	// Nodes counts the numbered nodes outside procedure declarations:
+	// global initializers and the module body (see Num).
+	Nodes int
 }
 
 func (m *Module) Pos() token.Pos { return m.NamePos }
@@ -61,6 +75,8 @@ type ProcDecl struct {
 	Locals  []Decl   // VAR/CONST/TYPE decls before BEGIN
 	Body    []Stmt
 	NamePos token.Pos
+	// Nodes counts the numbered nodes of the declaration (see Num).
+	Nodes int
 }
 
 // Param is a formal parameter. Mode VAR makes it pass-by-reference, which
@@ -218,6 +234,7 @@ type RepeatStmt struct {
 
 // ForStmt is FOR i := Lo TO Hi [BY Step] DO Body END.
 type ForStmt struct {
+	Num
 	Var    string
 	Lo, Hi Expr
 	Step   Expr // nil for BY 1
@@ -246,6 +263,7 @@ type ReturnStmt struct {
 // binding is an alias for the denoted location; this is the second
 // address-taking construct in the language.
 type WithStmt struct {
+	Num
 	Name    string
 	Expr    Expr
 	Body    []Stmt
@@ -280,52 +298,61 @@ func (s *WithStmt) Pos() token.Pos   { return s.WithPos }
 // Expr is an expression.
 type Expr interface {
 	Node
+	Number() int
 	exprNode()
 }
 
 // Ident names a variable, constant, procedure, or type.
 type Ident struct {
+	Num
 	Name    string
 	NamePos token.Pos
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
+	Num
 	Value  int64
 	LitPos token.Pos
 }
 
 // BoolLit is TRUE or FALSE.
 type BoolLit struct {
+	Num
 	Value  bool
 	LitPos token.Pos
 }
 
 // CharLit is a character literal.
 type CharLit struct {
+	Num
 	Value  byte
 	LitPos token.Pos
 }
 
 // TextLit is a text (string) literal.
 type TextLit struct {
+	Num
 	Value  string
 	LitPos token.Pos
 }
 
 // NilLit is NIL.
 type NilLit struct {
+	Num
 	LitPos token.Pos
 }
 
 // BinaryExpr is a binary operation.
 type BinaryExpr struct {
+	Num
 	Op   token.Kind // PLUS MINUS STAR DIV MOD AND OR EQ NEQ LT GT LE GE AMP
 	L, R Expr
 }
 
 // UnaryExpr is unary minus or NOT.
 type UnaryExpr struct {
+	Num
 	Op    token.Kind // MINUS NOT
 	X     Expr
 	OpPos token.Pos
@@ -333,17 +360,20 @@ type UnaryExpr struct {
 
 // QualifyExpr is p.f — the paper's "Qualify" access path.
 type QualifyExpr struct {
+	Num
 	X     Expr
 	Field string
 }
 
 // DerefExpr is p^ — the paper's "Dereference" access path.
 type DerefExpr struct {
+	Num
 	X Expr
 }
 
 // SubscriptExpr is p[i] — the paper's "Subscript" access path.
 type SubscriptExpr struct {
+	Num
 	X     Expr
 	Index Expr
 }
@@ -352,12 +382,14 @@ type SubscriptExpr struct {
 // builtin (NUMBER, ABS, ORD, CHR, MIN, MAX, Put*). The parser produces a
 // CallExpr whose Fun is a designator; sema classifies it.
 type CallExpr struct {
+	Num
 	Fun  Expr
 	Args []Expr
 }
 
 // NewExpr is NEW(T) or NEW(ArrayT, n).
 type NewExpr struct {
+	Num
 	TypeName string
 	Len      Expr // for open arrays; nil otherwise
 	NewPos   token.Pos

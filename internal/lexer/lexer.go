@@ -25,8 +25,8 @@ type Lexer struct {
 	src  string
 	file string
 	off  int
-	line int
-	col  int
+	line int32
+	col  int32
 	errs []*Error
 }
 
@@ -264,17 +264,5 @@ func unescape(c byte) byte {
 		return 0
 	default:
 		return c
-	}
-}
-
-// All scans the entire input and returns every token up to and including EOF.
-func (l *Lexer) All() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
 	}
 }

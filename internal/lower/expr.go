@@ -65,11 +65,11 @@ func (lw *lowerer) storeTo(lv lval, val ir.Operand, pos token.Pos) {
 func (lw *lowerer) lval(e ast.Expr) lval {
 	switch e := e.(type) {
 	case *ast.Ident:
-		sym := lw.sp.SymOf[e]
+		sym := lw.facts.SymOf(e)
 		v := lw.varMap[sym]
 		if v == nil {
 			// Should not happen for checked programs.
-			v = lw.newTemp(lw.sp.TypeOf[e])
+			v = lw.newTemp(lw.facts.TypeOf(e))
 		}
 		if v.ByRef {
 			// A by-ref formal or WITH alias: the slot holds a location;
@@ -81,8 +81,8 @@ func (lw *lowerer) lval(e ast.Expr) lval {
 		return lval{kind: lvVar, v: v, ap: &ir.AP{Root: v}, typ: v.Type}
 
 	case *ast.QualifyExpr:
-		ft := lw.sp.TypeOf[e]
-		xt := lw.sp.TypeOf[e.X]
+		ft := lw.facts.TypeOf(e)
+		xt := lw.facts.TypeOf(e.X)
 		// p^.a over REF RECORD is the same location as p.a: unwrap.
 		if dx, ok := e.X.(*ast.DerefExpr); ok {
 			if _, isRec := xt.(*types.Record); isRec {
@@ -125,16 +125,16 @@ func (lw *lowerer) lval(e ast.Expr) lval {
 			typ: ft}
 
 	case *ast.DerefExpr:
-		t := lw.sp.TypeOf[e]
+		t := lw.facts.TypeOf(e)
 		base, ap := lw.evalWithAP(e.X)
 		return lval{kind: lvMem, base: base, sel: ir.Sel{Kind: ir.SelDeref},
 			ap:  ap.Extend(ir.APSel{Kind: ir.SelDeref, Type: t}),
 			typ: t}
 
 	case *ast.SubscriptExpr:
-		t := lw.sp.TypeOf[e]
+		t := lw.facts.TypeOf(e)
 		arr, arrAP := lw.evalWithAP(e.X)
-		at, _ := lw.sp.TypeOf[e.X].(*types.Array)
+		at, _ := lw.facts.TypeOf(e.X).(*types.Array)
 		elems := lw.proc.NewReg()
 		elemsAP := arrAP.Extend(ir.APSel{Kind: ir.SelDopeElems, Type: at})
 		lw.emit(ir.Instr{Op: ir.OpLoad, Dst: elems, Base: arr,
@@ -147,7 +147,7 @@ func (lw *lowerer) lval(e ast.Expr) lval {
 	}
 	// Non-designator: evaluate into a temp and treat as a variable.
 	val := lw.expr(e)
-	tv := lw.newTemp(lw.sp.TypeOf[e])
+	tv := lw.newTemp(lw.facts.TypeOf(e))
 	lw.emit(ir.Instr{Op: ir.OpSetVar, Var: tv, Args: []ir.Operand{val}})
 	return lval{kind: lvVar, v: tv, ap: &ir.AP{Root: tv}, typ: tv.Type}
 }
@@ -162,7 +162,7 @@ func (lw *lowerer) evalWithAP(e ast.Expr) (ir.Operand, *ir.AP) {
 		return lw.loadFrom(lv, e.Pos()), lv.ap
 	}
 	val := lw.expr(e)
-	tv := lw.newTemp(lw.sp.TypeOf[e])
+	tv := lw.newTemp(lw.facts.TypeOf(e))
 	lw.emit(ir.Instr{Op: ir.OpSetVar, Var: tv, Args: []ir.Operand{val}})
 	return ir.V(tv), &ir.AP{Root: tv}
 }
@@ -206,7 +206,7 @@ func (lw *lowerer) expr(e ast.Expr) ir.Operand {
 	case *ast.NilLit:
 		return ir.CNil()
 	case *ast.Ident:
-		if cs, ok := lw.sp.ConstOf[e]; ok {
+		if cs := lw.facts.ConstOf(e); cs != nil {
 			return lw.constOperand(cs)
 		}
 		v, _ := lw.evalWithAP(e)
@@ -239,7 +239,7 @@ func (lw *lowerer) expr(e ast.Expr) ir.Operand {
 	case *ast.CallExpr:
 		return lw.call(e, true)
 	case *ast.NewExpr:
-		t := lw.sp.TypeOf[e]
+		t := lw.facts.TypeOf(e)
 		dst := lw.proc.NewReg()
 		if arr, ok := t.(*types.Array); ok {
 			ln := lw.expr(e.Len)
@@ -359,7 +359,7 @@ func (lw *lowerer) cond(e ast.Expr, thenB, elseB *ir.Block) {
 // Calls
 
 func (lw *lowerer) call(e *ast.CallExpr, wantValue bool) ir.Operand {
-	ci := lw.sp.Calls[e]
+	ci := lw.facts.CallOf(e)
 	if ci == nil {
 		return ir.CInt(0)
 	}
@@ -376,7 +376,7 @@ func (lw *lowerer) call(e *ast.CallExpr, wantValue bool) ir.Operand {
 				byref[i] = true
 			} else {
 				if i < len(ci.Proc.Params) {
-					lw.merge(ci.Proc.Params[i].Type, lw.sp.TypeOf[a])
+					lw.merge(ci.Proc.Params[i].Type, lw.facts.TypeOf(a))
 				}
 				args[i] = lw.expr(a)
 			}
@@ -402,10 +402,10 @@ func (lw *lowerer) call(e *ast.CallExpr, wantValue bool) ir.Operand {
 			if i < len(ci.Method.Modes) && ci.Method.Modes[i] == types.VarMode {
 				args = append(args, lw.takeAddress(a, a.Pos()))
 				byref = append(byref, true)
-				lw.prog.ByRefFormalTypes[lw.sp.TypeOf[a].ID()] = true
+				lw.prog.ByRefFormalTypes[lw.facts.TypeOf(a).ID()] = true
 			} else {
 				if i < len(ci.Method.Params) {
-					lw.merge(ci.Method.Params[i], lw.sp.TypeOf[a])
+					lw.merge(ci.Method.Params[i], lw.facts.TypeOf(a))
 				}
 				args = append(args, lw.expr(a))
 				byref = append(byref, false)
@@ -434,7 +434,7 @@ func isVoid(t types.Type) bool {
 // mergeReceiver records the implicit assignment of the receiver to the
 // self formal of every implementation the dispatch may invoke.
 func (lw *lowerer) mergeReceiver(ci *sema.CallInfo) {
-	rt := lw.sp.TypeOf[ci.Recv]
+	rt := lw.facts.TypeOf(ci.Recv)
 	ro, ok := rt.(*types.Object)
 	if !ok {
 		return

@@ -56,9 +56,13 @@ type lowerer struct {
 	sp     *sema.Program
 	prog   *ir.Program
 	varMap map[*sema.VarSym]*ir.Var
+	// scratch holds one instruction buffer per block ID, reused from
+	// procedure to procedure; finish copies each block out exactly.
+	scratch [][]ir.Instr
 
 	// Per-procedure state.
 	proc      *ir.Proc
+	facts     *sema.Facts
 	cur       *ir.Block
 	exitStack []*ir.Block // EXIT targets
 	tempCount int
@@ -66,13 +70,34 @@ type lowerer struct {
 
 func (lw *lowerer) newBlock(name string) *ir.Block {
 	b := &ir.Block{ID: len(lw.proc.Blocks), Name: name}
+	if b.ID < len(lw.scratch) {
+		b.Instrs = lw.scratch[b.ID][:0]
+	}
 	lw.proc.Blocks = append(lw.proc.Blocks, b)
 	return b
 }
 
-func (lw *lowerer) emit(in ir.Instr) *ir.Instr {
+func (lw *lowerer) emit(in ir.Instr) {
 	lw.cur.Instrs = append(lw.cur.Instrs, in)
-	return &lw.cur.Instrs[len(lw.cur.Instrs)-1]
+}
+
+// finish ends the procedure: it gives every block an exact-size copy
+// of its instructions and keeps the scratch buffers for the next one.
+func (lw *lowerer) finish(ip *ir.Proc) {
+	for _, b := range ip.Blocks {
+		buf := b.Instrs
+		if b.ID < len(lw.scratch) {
+			lw.scratch[b.ID] = buf[:0]
+		} else {
+			lw.scratch = append(lw.scratch, buf[:0])
+		}
+		b.Instrs = nil
+		if len(buf) > 0 {
+			b.Instrs = make([]ir.Instr, len(buf))
+			copy(b.Instrs, buf)
+		}
+	}
+	ip.ComputeCFGEdges()
 }
 
 // sealJump ends the current block with a jump if it lacks a terminator.
@@ -104,6 +129,7 @@ func (lw *lowerer) addLocal(sym *sema.VarSym) *ir.Var {
 
 func (lw *lowerer) lowerProc(sp *sema.Procedure, ip *ir.Proc) {
 	lw.proc = ip
+	lw.facts = sp.Facts
 	lw.tempCount = 0
 	for _, p := range sp.Params {
 		v := &ir.Var{Name: p.Name, Type: p.Type, Kind: ir.ParamVar,
@@ -123,8 +149,6 @@ func (lw *lowerer) lowerProc(sp *sema.Procedure, ip *ir.Proc) {
 		if !ok {
 			continue
 		}
-		t := lw.sp.TypeOf[vd.Init] // may be nil
-		_ = t
 		for _, sym := range sp.Locals {
 			// match by name within this decl
 			for _, n := range vd.Names {
@@ -139,7 +163,7 @@ func (lw *lowerer) lowerProc(sp *sema.Procedure, ip *ir.Proc) {
 				if sym == nil {
 					continue
 				}
-				lw.merge(sym.Type, lw.sp.TypeOf[vd.Init])
+				lw.merge(sym.Type, lw.facts.TypeOf(vd.Init))
 				val := lw.expr(vd.Init)
 				lw.emit(ir.Instr{Op: ir.OpSetVar, Var: lw.varMap[sym], Args: []ir.Operand{val}, Pos: vd.NamePos})
 			}
@@ -156,7 +180,7 @@ func (lw *lowerer) lowerProc(sp *sema.Procedure, ip *ir.Proc) {
 	if n := len(lw.cur.Instrs); n == 0 || !lw.cur.Instrs[n-1].IsTerminator() {
 		lw.emit(ir.Instr{Op: ir.OpReturn})
 	}
-	ip.ComputeCFGEdges()
+	lw.finish(ip)
 }
 
 func (lw *lowerer) findLocal(sp *sema.Procedure, name string) *sema.VarSym {
@@ -176,12 +200,13 @@ func (lw *lowerer) lowerMain() {
 	lw.prog.ProcByName[ip.Name] = ip
 	lw.prog.Main = ip
 	lw.proc = ip
+	lw.facts = lw.sp.Facts
 	lw.tempCount = 0
 	entry := lw.newBlock("entry")
 	ip.Entry = entry
 	lw.cur = entry
 	for _, gi := range lw.sp.GlobalInits {
-		lw.merge(gi.Var.Type, lw.sp.TypeOf[gi.Expr])
+		lw.merge(gi.Var.Type, lw.facts.TypeOf(gi.Expr))
 		val := lw.expr(gi.Expr)
 		lw.emit(ir.Instr{Op: ir.OpSetVar, Var: lw.varMap[gi.Var], Args: []ir.Operand{val}})
 	}
@@ -189,7 +214,7 @@ func (lw *lowerer) lowerMain() {
 	if n := len(lw.cur.Instrs); n == 0 || !lw.cur.Instrs[n-1].IsTerminator() {
 		lw.emit(ir.Instr{Op: ir.OpReturn})
 	}
-	ip.ComputeCFGEdges()
+	lw.finish(ip)
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +288,7 @@ func (lw *lowerer) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		var args []ir.Operand
 		if s.Value != nil {
-			lw.merge(lw.proc.Result, lw.sp.TypeOf[s.Value])
+			lw.merge(lw.proc.Result, lw.facts.TypeOf(s.Value))
 			args = []ir.Operand{lw.expr(s.Value)}
 		}
 		lw.emit(ir.Instr{Op: ir.OpReturn, Args: args, Pos: s.RetPos})
@@ -293,8 +318,8 @@ func (lw *lowerer) merge(dst, src types.Type) {
 }
 
 func (lw *lowerer) assign(s *ast.AssignStmt) {
-	lt := lw.sp.TypeOf[s.LHS]
-	lw.merge(lt, lw.sp.TypeOf[s.RHS])
+	lt := lw.facts.TypeOf(s.LHS)
+	lw.merge(lt, lw.facts.TypeOf(s.RHS))
 	if rec, ok := lt.(*types.Record); ok {
 		lw.recordAssign(s, rec)
 		return
@@ -321,7 +346,7 @@ func (lw *lowerer) recordAssign(s *ast.AssignStmt, rec *types.Record) {
 // FOR / WITH
 
 func (lw *lowerer) forStmt(s *ast.ForStmt) {
-	sym := lw.sp.ForSyms[s]
+	sym := lw.facts.ForSym(s)
 	iv := lw.addLocal(sym)
 	lo := lw.expr(s.Lo)
 	hi := lw.expr(s.Hi)
@@ -364,7 +389,7 @@ func (lw *lowerer) forStmt(s *ast.ForStmt) {
 }
 
 func (lw *lowerer) withStmt(s *ast.WithStmt) {
-	sym := lw.sp.WithSyms[s]
+	sym := lw.facts.WithSym(s)
 	wv := lw.addLocal(sym)
 	if sym.WithExpr == nil {
 		// Value binding.

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"tbaa/internal/bench"
 	"tbaa/internal/driver"
 	"tbaa/internal/ir"
+	"tbaa/internal/lower"
 )
 
 func compile(t *testing.T, src string) *ir.Program {
@@ -317,5 +319,33 @@ END M.
 	}
 	if !found {
 		t.Error("no method call lowered")
+	}
+}
+
+// TestBlocksExactSize pins that lowering keeps no spare capacity: every
+// block of every stock benchmark holds its instructions in an array of
+// exactly their number, after a full lowering and after re-lowering a
+// procedure in place.
+func TestBlocksExactSize(t *testing.T) {
+	check := func(name string, p *ir.Proc) {
+		for _, b := range p.Blocks {
+			if cap(b.Instrs) != len(b.Instrs) {
+				t.Errorf("%s: %s b%d holds %d instrs with capacity %d",
+					name, p.Name, b.ID, len(b.Instrs), cap(b.Instrs))
+			}
+		}
+	}
+	for _, bm := range bench.All() {
+		c, err := driver.Frontend(bm.Name+".m3", bm.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := c.Lower()
+		for _, p := range prog.Procs {
+			check(bm.Name, p)
+		}
+		for _, sp := range c.Sema.Procs {
+			check(bm.Name+" re-lowered", lower.LowerProcInto(prog, c.Sema, sp))
+		}
 	}
 }

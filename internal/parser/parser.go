@@ -32,48 +32,107 @@ func (l ErrorList) Error() string {
 	return s
 }
 
+// MaxNesting bounds how deeply expressions, statements and type
+// expressions may nest, counting each operator of a left-associative
+// chain (a + b + c, p.f.g, p^^) as one level. The checker and the
+// lowerer walk the tree recursively, so without a bound a source of a
+// few megabytes of "(" exhausts the goroutine stack and kills the
+// process. Real programs stay far below it.
+const MaxNesting = 1000
+
+// maxErrors caps the syntax errors reported after the lexical ones.
+const maxErrors = 50
+
 // Parse parses a MiniM3 module from src. file is used in positions.
+//
+// Errors are reported lexical errors first, all of them, including
+// those past the point where parsing stopped, then syntax errors while
+// the list holds fewer than 50.
 func Parse(file, src string) (*ast.Module, error) {
-	l := lexer.New(file, src)
-	toks := l.All()
-	p := &parser{toks: toks}
-	for _, le := range l.Errors() {
-		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
-	}
-	m := p.module()
-	if len(p.errs) > 0 {
-		return m, p.errs
-	}
-	return m, nil
+	return parse(file, src, MaxNesting)
 }
 
+func parse(file, src string, limit int) (*ast.Module, error) {
+	p := &parser{lx: lexer.New(file, src), limit: limit}
+	p.tok = p.lx.Next()
+	m := p.run()
+	for p.tok.Kind != token.EOF {
+		p.tok = p.lx.Next()
+	}
+	lexErrs := p.lx.Errors()
+	keep := min(len(p.errs), max(0, maxErrors-len(lexErrs)))
+	if len(lexErrs)+keep == 0 {
+		return m, nil
+	}
+	errs := make(ErrorList, 0, len(lexErrs)+keep)
+	for _, le := range lexErrs {
+		errs = append(errs, &Error{Pos: le.Pos, Msg: le.Msg})
+	}
+	return m, append(errs, p.errs[:keep]...)
+}
+
+// parser reads the token stream one token at a time: the current token
+// is its only lookahead.
 type parser struct {
-	toks []token.Token
-	pos  int
-	errs ErrorList
+	lx    *lexer.Lexer
+	tok   token.Token
+	errs  ErrorList // syntax errors, at most maxErrors
+	depth int       // nesting of the node being parsed
+	limit int       // the bound on depth
+	nodes int32     // node numbers handed out in the current declaration
 }
 
-func (p *parser) cur() token.Token { return p.toks[p.pos] }
-func (p *parser) kind() token.Kind { return p.toks[p.pos].Kind }
-func (p *parser) peek() token.Kind {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1].Kind
-	}
-	return token.EOF
+// bailout abandons a parse whose nesting passed the limit.
+type bailout struct{}
+
+// run parses the module, or returns nil if the parse was abandoned.
+func (p *parser) run() (m *ast.Module) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(bailout); !ok {
+				panic(r)
+			}
+		}
+	}()
+	return p.module()
 }
+
+func (p *parser) cur() token.Token { return p.tok }
+func (p *parser) kind() token.Kind { return p.tok.Kind }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.tok = p.lx.Next()
 	}
 	return t
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...any) {
-	if len(p.errs) < 50 {
+	if len(p.errs) < maxErrors {
 		p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 	}
+}
+
+// nest enters one level of nesting and returns the depth it left, for
+// a deferred restore; past the limit it reports the error at the
+// current token and abandons the parse.
+func (p *parser) nest() int {
+	p.depth++
+	if p.depth > p.limit {
+		p.errorf(p.tok.Pos, "nesting deeper than %d levels", p.limit)
+		panic(bailout{})
+	}
+	return p.depth - 1
+}
+
+func (p *parser) restore(depth int) { p.depth = depth }
+
+// num hands out the next node number of the current declaration.
+func (p *parser) num() ast.Num {
+	n := ast.Num{N: p.nodes}
+	p.nodes++
+	return n
 }
 
 func (p *parser) expect(k token.Kind) token.Token {
@@ -113,6 +172,7 @@ func (p *parser) module() *ast.Module {
 		p.errorf(epos, "module %s ends with END %s", name, endName)
 	}
 	p.expect(token.DOT)
+	m.Nodes = int(p.nodes)
 	return m
 }
 
@@ -177,6 +237,9 @@ func (p *parser) identList() ([]string, token.Pos) {
 // procDecl = PROCEDURE Ident Signature "=" {LocalDecl} BEGIN StmtList END Ident ";"
 func (p *parser) procDecl() *ast.ProcDecl {
 	p.expect(token.PROCEDURE)
+	outer := p.nodes
+	p.nodes = 0
+	defer func() { p.nodes = outer }()
 	name, npos := p.ident()
 	params, result := p.signature()
 	p.expect(token.EQ)
@@ -190,6 +253,7 @@ func (p *parser) procDecl() *ast.ProcDecl {
 		p.errorf(epos, "procedure %s ends with END %s", name, endName)
 	}
 	p.expect(token.SEMICOLON)
+	d.Nodes = int(p.nodes)
 	return d
 }
 
@@ -229,6 +293,7 @@ func (p *parser) param() *ast.Param {
 
 // typeExpr parses a type expression.
 func (p *parser) typeExpr() ast.TypeExpr {
+	defer p.restore(p.nest())
 	pos := p.cur().Pos
 	switch p.kind() {
 	case token.ARRAY:
@@ -355,6 +420,7 @@ func (p *parser) stmtList(stop ...token.Kind) []ast.Stmt {
 }
 
 func (p *parser) stmt() ast.Stmt {
+	defer p.restore(p.nest())
 	pos := p.cur().Pos
 	switch p.kind() {
 	case token.IF:
@@ -394,7 +460,7 @@ func (p *parser) stmt() ast.Stmt {
 		p.expect(token.DO)
 		body := p.stmtList(token.END)
 		p.expect(token.END)
-		return &ast.ForStmt{Var: v, Lo: lo, Hi: hi, Step: step, Body: body, ForPos: pos}
+		return &ast.ForStmt{Num: p.num(), Var: v, Lo: lo, Hi: hi, Step: step, Body: body, ForPos: pos}
 	case token.RETURN:
 		p.next()
 		var v ast.Expr
@@ -411,7 +477,7 @@ func (p *parser) stmt() ast.Stmt {
 		p.expect(token.DO)
 		body := p.stmtList(token.END)
 		p.expect(token.END)
-		return &ast.WithStmt{Name: name, Expr: e, Body: body, WithPos: pos}
+		return &ast.WithStmt{Num: p.num(), Name: name, Expr: e, Body: body, WithPos: pos}
 	case token.IDENT:
 		lhs := p.designatorOrCall()
 		if p.accept(token.ASSIGN) {
@@ -422,7 +488,7 @@ func (p *parser) stmt() ast.Stmt {
 			return &ast.CallStmt{Call: call}
 		}
 		p.errorf(pos, "expected := or call, found %s", p.cur())
-		return &ast.CallStmt{Call: &ast.CallExpr{Fun: lhs}}
+		return &ast.CallStmt{Call: &ast.CallExpr{Num: p.num(), Fun: lhs}}
 	default:
 		p.errorf(pos, "expected statement, found %s", p.cur())
 		p.next()
@@ -453,6 +519,7 @@ func (p *parser) ifStmt() ast.Stmt {
 // ifStmtTail handles ELSIF chains: it parses as a nested IfStmt and shares
 // the final END with the enclosing IF.
 func (p *parser) ifStmtTail() ast.Stmt {
+	defer p.restore(p.nest())
 	pos := p.cur().Pos
 	p.expect(token.ELSIF)
 	cond := p.expr()
@@ -477,22 +544,25 @@ func (p *parser) ifStmtTail() ast.Stmt {
 
 // expr = simpleExpr [relOp simpleExpr]
 func (p *parser) expr() ast.Expr {
+	defer p.restore(p.nest())
 	l := p.simpleExpr()
 	switch p.kind() {
 	case token.EQ, token.NEQ, token.LT, token.GT, token.LE, token.GE:
 		op := p.next().Kind
 		r := p.simpleExpr()
-		return &ast.BinaryExpr{Op: op, L: l, R: r}
+		return &ast.BinaryExpr{Num: p.num(), Op: op, L: l, R: r}
 	}
 	return l
 }
 
 // simpleExpr = ["+"|"-"] term {("+"|"-"|OR|"&") term}
 func (p *parser) simpleExpr() ast.Expr {
+	defer p.restore(p.depth)
 	var l ast.Expr
 	if p.kind() == token.MINUS {
 		pos := p.next().Pos
-		l = &ast.UnaryExpr{Op: token.MINUS, X: p.term(), OpPos: pos}
+		p.nest()
+		l = &ast.UnaryExpr{Num: p.num(), Op: token.MINUS, X: p.term(), OpPos: pos}
 	} else {
 		p.accept(token.PLUS)
 		l = p.term()
@@ -501,7 +571,8 @@ func (p *parser) simpleExpr() ast.Expr {
 		switch p.kind() {
 		case token.PLUS, token.MINUS, token.OR, token.AMP:
 			op := p.next().Kind
-			l = &ast.BinaryExpr{Op: op, L: l, R: p.term()}
+			p.nest()
+			l = &ast.BinaryExpr{Num: p.num(), Op: op, L: l, R: p.term()}
 		default:
 			return l
 		}
@@ -510,12 +581,14 @@ func (p *parser) simpleExpr() ast.Expr {
 
 // term = factor {("*"|DIV|MOD|AND) factor}
 func (p *parser) term() ast.Expr {
+	defer p.restore(p.depth)
 	l := p.factor()
 	for {
 		switch p.kind() {
 		case token.STAR, token.DIV, token.MOD, token.AND:
 			op := p.next().Kind
-			l = &ast.BinaryExpr{Op: op, L: l, R: p.factor()}
+			p.nest()
+			l = &ast.BinaryExpr{Num: p.num(), Op: op, L: l, R: p.factor()}
 		default:
 			return l
 		}
@@ -531,29 +604,30 @@ func (p *parser) factor() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{Value: v, LitPos: t.Pos}
+		return &ast.IntLit{Num: p.num(), Value: v, LitPos: t.Pos}
 	case token.CHARLIT:
 		t := p.next()
 		var c byte
 		if len(t.Lit) > 0 {
 			c = t.Lit[0]
 		}
-		return &ast.CharLit{Value: c, LitPos: t.Pos}
+		return &ast.CharLit{Num: p.num(), Value: c, LitPos: t.Pos}
 	case token.STRING:
 		t := p.next()
-		return &ast.TextLit{Value: t.Lit, LitPos: t.Pos}
+		return &ast.TextLit{Num: p.num(), Value: t.Lit, LitPos: t.Pos}
 	case token.TRUE:
 		p.next()
-		return &ast.BoolLit{Value: true, LitPos: pos}
+		return &ast.BoolLit{Num: p.num(), Value: true, LitPos: pos}
 	case token.FALSE:
 		p.next()
-		return &ast.BoolLit{Value: false, LitPos: pos}
+		return &ast.BoolLit{Num: p.num(), Value: false, LitPos: pos}
 	case token.NIL:
 		p.next()
-		return &ast.NilLit{LitPos: pos}
+		return &ast.NilLit{Num: p.num(), LitPos: pos}
 	case token.NOT:
 		p.next()
-		return &ast.UnaryExpr{Op: token.NOT, X: p.factor(), OpPos: pos}
+		defer p.restore(p.nest())
+		return &ast.UnaryExpr{Num: p.num(), Op: token.NOT, X: p.factor(), OpPos: pos}
 	case token.LPAREN:
 		p.next()
 		e := p.expr()
@@ -568,36 +642,41 @@ func (p *parser) factor() ast.Expr {
 			ln = p.expr()
 		}
 		p.expect(token.RPAREN)
-		return &ast.NewExpr{TypeName: name, Len: ln, NewPos: pos}
+		return &ast.NewExpr{Num: p.num(), TypeName: name, Len: ln, NewPos: pos}
 	case token.IDENT:
 		return p.designatorOrCall()
 	default:
 		p.errorf(pos, "expected expression, found %s", p.cur())
 		p.next()
-		return &ast.IntLit{Value: 0, LitPos: pos}
+		return &ast.IntLit{Num: p.num(), Value: 0, LitPos: pos}
 	}
 }
 
 // designatorOrCall = Ident { "." Ident | "[" Expr "]" | "^" | "(" args ")" }
 func (p *parser) designatorOrCall() ast.Expr {
+	defer p.restore(p.depth)
 	name, npos := p.ident()
-	var e ast.Expr = &ast.Ident{Name: name, NamePos: npos}
+	var e ast.Expr = &ast.Ident{Num: p.num(), Name: name, NamePos: npos}
 	for {
 		switch p.kind() {
 		case token.DOT:
 			p.next()
+			p.nest()
 			f, _ := p.ident()
-			e = &ast.QualifyExpr{X: e, Field: f}
+			e = &ast.QualifyExpr{Num: p.num(), X: e, Field: f}
 		case token.LBRACK:
 			p.next()
+			p.nest()
 			idx := p.expr()
 			p.expect(token.RBRACK)
-			e = &ast.SubscriptExpr{X: e, Index: idx}
+			e = &ast.SubscriptExpr{Num: p.num(), X: e, Index: idx}
 		case token.CARET:
 			p.next()
-			e = &ast.DerefExpr{X: e}
+			p.nest()
+			e = &ast.DerefExpr{Num: p.num(), X: e}
 		case token.LPAREN:
 			p.next()
+			p.nest()
 			var args []ast.Expr
 			if p.kind() != token.RPAREN {
 				args = append(args, p.expr())
@@ -606,7 +685,7 @@ func (p *parser) designatorOrCall() ast.Expr {
 				}
 			}
 			p.expect(token.RPAREN)
-			e = &ast.CallExpr{Fun: e, Args: args}
+			e = &ast.CallExpr{Num: p.num(), Fun: e, Args: args}
 		default:
 			return e
 		}

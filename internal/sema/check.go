@@ -36,6 +36,7 @@ type checker struct {
 	consts    map[string]*ConstSym
 	scopes    []map[string]*VarSym
 	curProc   *Procedure
+	facts     *Facts // the declaration being checked
 	loopDepth int
 }
 
@@ -48,12 +49,6 @@ func newChecker(m *ast.Module) *checker {
 		Module:     m,
 		Universe:   u,
 		ProcByName: make(map[string]*Procedure),
-		TypeOf:     make(map[ast.Expr]types.Type),
-		SymOf:      make(map[*ast.Ident]*VarSym),
-		ConstOf:    make(map[*ast.Ident]*ConstSym),
-		Calls:      make(map[*ast.CallExpr]*CallInfo),
-		ForSyms:    make(map[*ast.ForStmt]*VarSym),
-		WithSyms:   make(map[*ast.WithStmt]*VarSym),
 		typeNames:  make(map[string]types.Type),
 	}
 	c := &checker{prog: p, u: u, typeNames: p.typeNames,
@@ -398,6 +393,8 @@ func (c *checker) lookupVar(name string) *VarSym {
 func (c *checker) checkProcBodies() {
 	for _, proc := range c.prog.Procs {
 		c.curProc = proc
+		proc.Facts = newFacts(proc.Decl.Nodes)
+		c.facts = proc.Facts
 		c.pushScope()
 		for _, p := range proc.Params {
 			c.declare(p, proc.Decl.NamePos)
@@ -430,6 +427,8 @@ func (c *checker) checkProcBodies() {
 }
 
 func (c *checker) checkModuleBody() {
+	c.prog.Facts = newFacts(c.prog.Module.Nodes)
+	c.facts = c.prog.Facts
 	c.pushScope()
 	for _, gi := range c.prog.GlobalInits {
 		it := c.expr(gi.Expr)
@@ -491,7 +490,7 @@ func (c *checker) stmt(s ast.Stmt) {
 			}
 		}
 		v := &VarSym{Name: s.Var, Type: c.u.IntT, Kind: ForVar, Proc: c.curProc}
-		c.prog.ForSyms[s] = v
+		c.facts.syms[s.Number()] = v
 		c.pushScope()
 		c.declare(v, s.ForPos)
 		c.loopDepth++
@@ -521,7 +520,7 @@ func (c *checker) stmt(s ast.Stmt) {
 		if ast.IsDesignator(s.Expr) {
 			v.WithExpr = s.Expr
 		}
-		c.prog.WithSyms[s] = v
+		c.facts.syms[s.Number()] = v
 		c.pushScope()
 		c.declare(v, s.WithPos)
 		c.stmts(s.Body)
@@ -567,7 +566,7 @@ func isVoid(t types.Type) bool {
 func (c *checker) expr(e ast.Expr) types.Type {
 	t := c.exprNoMemo(e)
 	if t != nil {
-		c.prog.TypeOf[e] = t
+		c.facts.types[e.Number()] = t
 	}
 	return t
 }
@@ -690,7 +689,7 @@ func (c *checker) newExpr(e *ast.NewExpr) types.Type {
 func (c *checker) designator(e ast.Expr, lvalue bool) types.Type {
 	t := c.designatorInner(e, lvalue)
 	if t != nil {
-		c.prog.TypeOf[e] = t
+		c.facts.types[e.Number()] = t
 	}
 	return t
 }
@@ -699,7 +698,7 @@ func (c *checker) designatorInner(e ast.Expr, lvalue bool) types.Type {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if v := c.lookupVar(e.Name); v != nil {
-			c.prog.SymOf[e] = v
+			c.facts.syms[e.Number()] = v
 			if lvalue && v.Kind == ForVar {
 				c.errorf(e.Pos(), "cannot assign to FOR index %s", e.Name)
 			}
@@ -712,7 +711,7 @@ func (c *checker) designatorInner(e ast.Expr, lvalue bool) types.Type {
 			if lvalue {
 				c.errorf(e.Pos(), "cannot assign to constant %s", e.Name)
 			}
-			c.prog.ConstOf[e] = cs
+			c.facts.setConst(e, cs)
 			return cs.Type
 		}
 		c.errorf(e.Pos(), "undefined: %s", e.Name)
@@ -805,7 +804,7 @@ func (c *checker) call(e *ast.CallExpr, asStmt bool) types.Type {
 		}
 		return nil
 	}
-	c.prog.Calls[e] = &CallInfo{Kind: ProcCall, Proc: proc}
+	c.facts.setCall(e, &CallInfo{Kind: ProcCall, Proc: proc})
 	c.checkArgs(e, proc.Params, e.Args)
 	if asStmt && !isVoid(proc.Result) {
 		// Modula-3 would require EVAL; MiniM3 tolerates discarding results.
@@ -853,7 +852,7 @@ func (c *checker) methodCall(e *ast.CallExpr, q *ast.QualifyExpr, recv *types.Ob
 			c.errorf(e.Args[i].Pos(), "cannot pass %s as %s", at, m.Params[i])
 		}
 	}
-	c.prog.Calls[e] = &CallInfo{Kind: MethodCall, Recv: q.X, Method: m, RecvType: recv}
+	c.facts.setCall(e, &CallInfo{Kind: MethodCall, Recv: q.X, Method: m, RecvType: recv})
 	return m.Result
 }
 
@@ -891,7 +890,7 @@ func (c *checker) checkArgs(e *ast.CallExpr, params []*VarSym, args []ast.Expr) 
 }
 
 func (c *checker) builtinCall(e *ast.CallExpr, bk BuiltinKind, asStmt bool) types.Type {
-	c.prog.Calls[e] = &CallInfo{Kind: BuiltinCall, Builtin: bk}
+	c.facts.setCall(e, &CallInfo{Kind: BuiltinCall, Builtin: bk})
 	argTypes := make([]types.Type, len(e.Args))
 	for i, a := range e.Args {
 		argTypes[i] = c.expr(a)

@@ -23,9 +23,10 @@ import (
 // replaced procedure's exactly (procedure types are interned in the
 // universe, and call sites are not re-checked).
 //
-// ReplaceProc mutates the Program's side tables (TypeOf, Calls, …) for
-// the new declaration's AST nodes; callers must not run it concurrently
-// with anything reading the Program.
+// The new Procedure carries its own Facts, so the replaced body's
+// facts and AST go with the replaced Procedure. ReplaceProc mutates
+// Procs and ProcByName; callers must not run it concurrently with
+// anything reading the Program.
 func (p *Program) ReplaceProc(decl *ast.ProcDecl) (*Procedure, error) {
 	old := p.ProcByName[decl.Name]
 	if old == nil {
@@ -86,6 +87,8 @@ func (p *Program) ReplaceProc(decl *ast.ProcDecl) (*Procedure, error) {
 		c.declare(g, decl.NamePos)
 	}
 	c.curProc = proc
+	proc.Facts = newFacts(decl.Nodes)
+	c.facts = proc.Facts
 	c.pushScope()
 	for _, prm := range proc.Params {
 		c.declare(prm, decl.NamePos)

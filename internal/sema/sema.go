@@ -81,6 +81,8 @@ type Procedure struct {
 	// MethodOf is non-nil when the procedure implements a method; it is
 	// the object type whose METHODS/OVERRIDES section named it.
 	MethodOf *types.Object
+	// Facts records what checking the declaration found about its nodes.
+	Facts *Facts
 }
 
 // BuiltinKind identifies a builtin operation.
@@ -148,18 +150,10 @@ type Program struct {
 	Procs      []*Procedure
 	ProcByName map[string]*Procedure
 
-	// TypeOf records the type of every expression.
-	TypeOf map[ast.Expr]types.Type
-	// SymOf records identifier resolution for variable references.
-	SymOf map[*ast.Ident]*VarSym
-	// ConstOf records identifier resolution for constant references.
-	ConstOf map[*ast.Ident]*ConstSym
-	// Calls records resolution of every call expression.
-	Calls map[*ast.CallExpr]*CallInfo
-	// ForSyms records the implicitly declared index variable of FOR loops.
-	ForSyms map[*ast.ForStmt]*VarSym
-	// WithSyms records the alias binding of WITH statements.
-	WithSyms map[*ast.WithStmt]*VarSym
+	// Facts records what checking found about the nodes outside
+	// procedure declarations: global initializers and the module body.
+	// Each Procedure carries its own.
+	Facts *Facts
 	// GlobalInits records initializers for globals, in declaration order.
 	GlobalInits []GlobalInit
 
@@ -174,3 +168,50 @@ type GlobalInit struct {
 
 // TypeNamed resolves a declared or builtin type name, or nil.
 func (p *Program) TypeNamed(name string) types.Type { return p.typeNames[name] }
+
+// Facts is what checking one declaration found about its nodes, kept
+// in slices indexed by the numbers the parser gave them (ast.Num). A
+// procedure's Facts are replaced with the procedure, so an edit leaves
+// nothing of the old body behind.
+type Facts struct {
+	types  []types.Type // expression → its type
+	syms   []*VarSym    // Ident → variable; ForStmt → index; WithStmt → binding
+	consts map[*ast.Ident]*ConstSym
+	calls  map[*ast.CallExpr]*CallInfo
+}
+
+func newFacts(nodes int) *Facts {
+	return &Facts{types: make([]types.Type, nodes), syms: make([]*VarSym, nodes)}
+}
+
+// TypeOf returns the type of an expression, or nil if it failed to check.
+func (f *Facts) TypeOf(e ast.Expr) types.Type { return f.types[e.Number()] }
+
+// SymOf returns the variable an identifier resolves to, or nil.
+func (f *Facts) SymOf(e *ast.Ident) *VarSym { return f.syms[e.Number()] }
+
+// ConstOf returns the constant an identifier resolves to, or nil.
+func (f *Facts) ConstOf(e *ast.Ident) *ConstSym { return f.consts[e] }
+
+// CallOf returns the resolution of a call expression, or nil.
+func (f *Facts) CallOf(e *ast.CallExpr) *CallInfo { return f.calls[e] }
+
+// ForSym returns the index variable a FOR loop declares.
+func (f *Facts) ForSym(s *ast.ForStmt) *VarSym { return f.syms[s.Number()] }
+
+// WithSym returns the binding a WITH statement declares.
+func (f *Facts) WithSym(s *ast.WithStmt) *VarSym { return f.syms[s.Number()] }
+
+func (f *Facts) setConst(e *ast.Ident, cs *ConstSym) {
+	if f.consts == nil {
+		f.consts = make(map[*ast.Ident]*ConstSym)
+	}
+	f.consts[e] = cs
+}
+
+func (f *Facts) setCall(e *ast.CallExpr, ci *CallInfo) {
+	if f.calls == nil {
+		f.calls = make(map[*ast.CallExpr]*CallInfo)
+	}
+	f.calls[e] = ci
+}

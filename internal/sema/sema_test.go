@@ -165,7 +165,7 @@ END M.
 	}
 	// The call in the body resolves as a method call.
 	var found bool
-	for _, ci := range p.Calls {
+	for _, ci := range p.Facts.calls {
 		if ci.Kind == MethodCall && ci.Method.Name == "area" {
 			found = true
 		}
@@ -255,8 +255,12 @@ BEGIN
 END M.
 `)
 	var aliasCount, valueCount int
-	for _, v := range p.WithSyms {
-		if v.WithExpr != nil {
+	for _, s := range p.Module.Body {
+		w, ok := s.(*ast.WithStmt)
+		if !ok {
+			continue
+		}
+		if v := p.Facts.WithSym(w); v.WithExpr != nil {
 			aliasCount++
 		} else {
 			valueCount++

@@ -136,10 +136,12 @@ func Lookup(ident string) Kind {
 }
 
 // Pos is a source position: 1-based line and column plus the file name.
+// Every AST node and IR instruction carries one, so line and column are
+// 32-bit.
 type Pos struct {
 	File string
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
 
 // IsValid reports whether p refers to an actual source location.
