@@ -157,10 +157,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime=30s .
 
 # perfbench/ is a module of its own that imports the internal front
-# end and analysis packages. go build ./... never sees it, so an
-# internal API change could break the benchmark unseen; vet builds it.
+# end and analysis packages. go build ./... and go test ./... never see
+# it, so an internal API change could break the benchmark unseen; vet
+# builds it and its own tests run it.
 perfbench-check:
 	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Examples compile under go build ./...; vet them explicitly too.
 examples:

@@ -402,9 +402,19 @@ type PairCounts struct {
 // analyzer's oracle. At flow-insensitive levels the partition oracle
 // answers with class-size arithmetic instead of a quadratic query
 // sweep; the flow-sensitive levels fan per-procedure work across a
-// worker pool. Safe to call concurrently with queries.
+// worker pool. Safe to call concurrently with queries and with
+// ApplyEdit, which waits for the sweep.
 func (a *Analyzer) CountPairs() PairCounts {
-	pc := alias.CountPairs(a.prog, a.snapshot().oracle)
+	// The sweep walks the program an edit re-lowers in place, so it
+	// holds the lock like Run does.
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	s := a.snap.Load()
+	if s == nil {
+		s = a.buildSnapshotLocked()
+		a.snap.Store(s)
+	}
+	pc := alias.CountPairs(a.prog, s.oracle)
 	return PairCounts{References: pc.References, Local: pc.Local, Global: pc.Global}
 }
 

@@ -1,6 +1,7 @@
 package tbaa_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -167,5 +168,76 @@ func TestEditProcRejections(t *testing.T) {
 	}
 	if _, err := a.MayAlias("t.f", "t.f"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCountPairsDuringEdits runs CountPairs in a loop while 200 edits
+// alternate Touch between its two bodies. Every count must be the count
+// of one of the two programs; under -race the test also checks that
+// the sweep never reads a procedure an edit is re-lowering.
+func TestCountPairsDuringEdits(t *testing.T) {
+	const originalTouch = `PROCEDURE Touch() =
+BEGIN
+  x := t.f;
+END Touch;`
+	for _, level := range []tbaa.Level{tbaa.SMFieldTypeRefs, tbaa.IPTypeRefs} {
+		var want [2]tbaa.PairCounts
+		for i, src := range []string{editBase, editedModuleSource()} {
+			fresh, err := tbaa.New("edit.m3", src, tbaa.WithLevel(level))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = fresh.CountPairs()
+		}
+		a, err := tbaa.New("edit.m3", editBase, tbaa.WithLevel(level))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, swept := make(chan struct{}), make(chan struct{}, 1)
+		errc := make(chan error, 1)
+		go func() {
+			defer close(errc)
+			for {
+				if got := a.CountPairs(); got != want[0] && got != want[1] {
+					errc <- fmt.Errorf("CountPairs %+v, want %+v or %+v", got, want[0], want[1])
+					return
+				}
+				select {
+				case swept <- struct{}{}:
+				default:
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+		// Start editing once the sweeps are under way.
+		select {
+		case <-swept:
+		case err := <-errc:
+			t.Fatalf("%v: %v", level, err)
+		}
+		for k := 0; k < 200; k++ {
+			src := editedTouch
+			if k%2 == 1 {
+				src = originalTouch
+			}
+			e, err := a.Module().EditProc(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ApplyEdit(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		if err := <-errc; err != nil {
+			t.Fatalf("%v: %v", level, err)
+		}
+		if got := a.CountPairs(); got != want[0] {
+			t.Fatalf("%v: CountPairs after an even number of edits %+v, want %+v", level, got, want[0])
+		}
 	}
 }

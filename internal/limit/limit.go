@@ -4,6 +4,9 @@
 // value within the same procedure activation — and classifies the ones
 // remaining after optimization into the paper's five categories
 // (Figure 10): Encapsulation, Conditional, Breakup, AliasFailure, Rest.
+// Conditional and AliasFailure come from the optimizer's own
+// available-load dataflow (opt.Avail), run three ways: must, may, and
+// must with only variable writes killing.
 package limit
 
 import (
@@ -11,6 +14,7 @@ import (
 	"tbaa/internal/interp"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
+	"tbaa/internal/opt"
 )
 
 // Category classifies why a dynamically redundant load survived RLE.
@@ -147,9 +151,9 @@ func (a *Analyzer) classify(ev *interp.MemEvent, prev lastLoad) {
 		f := a.flags[cur]
 		storedBetween := a.store[ev.Addr] > prev.seq
 		switch {
-		case f.may && !f.must:
+		case f[may] && !f[must]:
 			cat = CatConditional
-		case !f.may && f.mustNoMemKills && !storedBetween:
+		case !f[may] && f[mustNoMemKills] && !storedBetween:
 			// Every static path killed the expression via a may-alias
 			// store or call, yet no dynamic store touched the address:
 			// the alias analysis failed to disambiguate.
@@ -159,6 +163,41 @@ func (a *Analyzer) classify(ev *interp.MemEvent, prev lastLoad) {
 		}
 	}
 	a.rep.ByCategory[cat]++
+}
+
+// availFlags records whether a load's access path is available just
+// before it under each of the three runs of the available-load dataflow
+// (opt.Avail) that classify it.
+type availFlags [3]bool
+
+const (
+	must = iota // on every path
+	may         // on at least one path
+	// on every path once only variable writes kill; when this holds but
+	// must does not, a store or call was the cause
+	mustNoMemKills
+)
+
+// computeAvailFlags runs the three dataflows over every procedure. The
+// kills use the zero Site: the study measures the bound left by the
+// flow-insensitive analysis, not its refinement.
+func computeAvailFlags(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) map[*ir.Instr]availFlags {
+	flags := make(map[*ir.Instr]availFlags)
+	record := func(run int) func(*ir.Block, int, int32, bool) {
+		return func(b *ir.Block, i int, _ int32, avail bool) {
+			in := &b.Instrs[i]
+			f := flags[in]
+			f[run] = avail
+			flags[in] = f
+		}
+	}
+	for _, p := range prog.Procs {
+		a := opt.NewAvail(prog, p, o, mr, false)
+		a.Solve(opt.Must, true).Loads(record(must))
+		a.Solve(opt.May, true).Loads(record(may))
+		a.Solve(opt.Must, false).Loads(record(mustNoMemKills))
+	}
+	return flags
 }
 
 // Report returns the accumulated measurements.

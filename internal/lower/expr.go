@@ -439,21 +439,41 @@ func (lw *lowerer) mergeReceiver(ci *sema.CallInfo) {
 	if !ok {
 		return
 	}
+	for _, self := range lw.selfFormals(ro, ci.Method.Name) {
+		lw.merge(self, rt)
+	}
+}
+
+// selfFormals returns the self formal types of the distinct
+// implementations a call of method on a receiver of type ro may
+// dispatch to, in subtype order. They are resolved once per receiver
+// type and method in each lowering.
+func (lw *lowerer) selfFormals(ro *types.Object, method string) []types.Type {
+	key := dispatchKey{ro, method}
+	if selfs, ok := lw.dispatch[key]; ok {
+		return selfs
+	}
+	var selfs []types.Type
 	seen := map[string]bool{}
 	for _, id := range lw.prog.Universe.Subtypes(ro) {
 		o, ok := lw.prog.Universe.ByID(id).(*types.Object)
 		if !ok {
 			continue
 		}
-		impl := o.Implementation(ci.Method.Name)
+		impl := o.Implementation(method)
 		if impl == "" || seen[impl] {
 			continue
 		}
 		seen[impl] = true
 		if sp := lw.sp.ProcByName[impl]; sp != nil && len(sp.Params) > 0 {
-			lw.merge(sp.Params[0].Type, rt)
+			selfs = append(selfs, sp.Params[0].Type)
 		}
 	}
+	if lw.dispatch == nil {
+		lw.dispatch = make(map[dispatchKey][]types.Type)
+	}
+	lw.dispatch[key] = selfs
+	return selfs
 }
 
 func (lw *lowerer) builtin(e *ast.CallExpr, ci *sema.CallInfo) ir.Operand {

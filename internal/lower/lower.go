@@ -59,6 +59,8 @@ type lowerer struct {
 	// scratch holds one instruction buffer per block ID, reused from
 	// procedure to procedure; finish copies each block out exactly.
 	scratch [][]ir.Instr
+	// dispatch memoizes selfFormals per receiver type and method.
+	dispatch map[dispatchKey][]types.Type
 
 	// Per-procedure state.
 	proc      *ir.Proc
@@ -66,6 +68,11 @@ type lowerer struct {
 	cur       *ir.Block
 	exitStack []*ir.Block // EXIT targets
 	tempCount int
+}
+
+type dispatchKey struct {
+	recv   *types.Object
+	method string
 }
 
 func (lw *lowerer) newBlock(name string) *ir.Block {

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"tbaa/internal/alias"
-	"tbaa/internal/cfg"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
 	"tbaa/internal/par"
@@ -55,226 +54,70 @@ func PRE(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) PREResult {
 }
 
 func preProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) int {
-	p.ComputeCFGEdges()
-	// Collect classes exactly as CSE does.
-	var classes []*ir.AP
-	classOf := func(ap *ir.AP) int {
-		for i, c := range classes {
-			if c.Equal(ap) {
-				return i
-			}
-		}
-		classes = append(classes, ap)
-		return len(classes) - 1
-	}
-	type site struct {
-		b   *ir.Block
-		idx int
-	}
-	gen := make(map[site]int)
-	// materializable tracks whether a class's load can be re-created
-	// from scratch at an arbitrary program point.
-	materializable := map[int]bool{}
-	var sampleLoad = map[int]*ir.Instr{}
-	for _, b := range p.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			switch in.Op {
-			case ir.OpLoad, ir.OpLoadVarField, ir.OpStore, ir.OpStoreVarField:
-				if in.AP == nil || in.AP.IsDope() {
-					continue
-				}
-				c := classOf(in.AP)
-				gen[site{b, i}] = c
-				if in.Op == ir.OpLoad && rematerializable(in) {
-					materializable[c] = true
-					if sampleLoad[c] == nil {
-						sampleLoad[c] = in
-					}
-				}
-			}
-		}
-	}
-	n := len(classes)
+	a := NewAvail(prog, p, o, mr, true)
+	n := len(a.classes)
 	if n == 0 {
 		return 0
 	}
-	at := prog.AddressTakenVars
-	kills := func(avail []bool, in *ir.Instr) {
-		site := alias.Site{Proc: p, Instr: in}
-		switch in.Op {
-		case ir.OpSetVar:
-			for i, c := range classes {
-				if avail[i] && modref.VarWriteKills(c, in.Var, at) {
-					avail[i] = false
-				}
-			}
-		case ir.OpStore, ir.OpStoreVarField:
-			st := in.AP
-			if st == nil {
-				for i := range avail {
-					avail[i] = false
-				}
-				return
-			}
-			isDeref := in.Op == ir.OpStore && in.Sel.Kind == ir.SelDeref
-			for i, c := range classes {
-				if !avail[i] {
-					continue
-				}
-				if modref.StoreKills(o, c, site, st, site) {
-					avail[i] = false
-				} else if isDeref && modref.LocStoreKills(c, st.Type().ID(), at) {
-					avail[i] = false
-				}
-			}
-		case ir.OpCall, ir.OpMethodCall:
-			eff := mr.CallEffects(in)
-			for i, c := range classes {
-				if avail[i] && modref.MayModify(eff, c, site, o, at) {
-					avail[i] = false
-				}
+	// sampleLoad[c] is the first load of class c that can be re-created
+	// at an arbitrary program point, or nil when there is none.
+	sampleLoad := make([]*ir.Instr, n)
+	for _, b := range p.Blocks {
+		for i, c := range a.gen[b] {
+			if in := &b.Instrs[i]; c >= 0 && sampleLoad[c] == nil && in.Op == ir.OpLoad && rematerializable(in) {
+				sampleLoad[c] = in
 			}
 		}
 	}
-	transfer := func(b *ir.Block, avail []bool) {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			c, isGen := gen[site{b, i}]
-			if (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) && isGen {
-				avail[c] = true
-				continue
-			}
-			kills(avail, in)
-			if isGen {
-				avail[c] = true
-			}
-		}
-	}
-	// Two dataflows: must (∩) and may (∪).
-	solve := func(union bool) map[*ir.Block][]bool {
-		rpo := cfg.ReversePostorder(p)
-		out := make(map[*ir.Block][]bool, len(rpo))
-		for _, b := range rpo {
-			s := make([]bool, n)
-			if b != p.Entry && !union {
-				for i := range s {
-					s[i] = true
-				}
-			}
-			out[b] = s
-		}
-		meetIn := func(b *ir.Block) []bool {
-			in := make([]bool, n)
-			if b == p.Entry {
-				return in
-			}
-			if union {
-				for _, pred := range b.Preds {
-					if po := out[pred]; po != nil {
-						for i := 0; i < n; i++ {
-							if po[i] {
-								in[i] = true
-							}
-						}
-					}
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					in[i] = true
-				}
-				for _, pred := range b.Preds {
-					if po := out[pred]; po != nil {
-						for i := 0; i < n; i++ {
-							if !po[i] {
-								in[i] = false
-							}
-						}
-					}
-				}
-			}
-			return in
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, b := range rpo {
-				s := meetIn(b)
-				transfer(b, s)
-				if !boolsEqual(s, out[b]) {
-					out[b] = s
-					changed = true
-				}
-			}
-		}
-		// Convert outs to ins for the caller.
-		ins := make(map[*ir.Block][]bool, len(rpo))
-		for _, b := range rpo {
-			ins[b] = meetIn(b)
-		}
-		return ins
-	}
-	mustIn := solve(false)
-	mayIn := solve(true)
-	mustOutOf := func(b *ir.Block) []bool {
-		s := make([]bool, n)
-		copy(s, mustIn[b])
-		transfer(b, s)
-		return s
-	}
+	must, may := a.Solve(Must, true), a.Solve(May, true)
 
-	// Find candidate (block, class) pairs: a load of c at the top of b
-	// (no prior kill or gen of c in b) with mayIn && !mustIn.
+	// Find candidate (block, class) pairs: a load of c before any gen of
+	// c in a reachable block b, with c available on some path into b
+	// but not on all. A kill of c before the load does not disqualify
+	// it, since c was not must-available to begin with.
 	type want struct {
 		b *ir.Block
-		c int
+		c int32
 	}
 	var wants []want
-	seen := map[want]bool{}
+	genned := make([]bool, n)
 	for _, b := range p.Blocks {
-		if mustIn[b] == nil {
+		k, ok := a.order[b]
+		if !ok {
 			continue // unreachable
 		}
-		dirty := make([]bool, n)
-		avail := make([]bool, n)
-		copy(avail, mustIn[b])
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			c, isGen := gen[site{b, i}]
-			if (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) && isGen {
-				if !dirty[c] && !avail[c] && mayIn[b][c] && materializable[c] {
-					w := want{b, c}
-					if !seen[w] {
-						seen[w] = true
-						wants = append(wants, w)
-					}
-				}
-				avail[c] = true
-				dirty[c] = true
+		clear(genned)
+		for i, c := range a.gen[b] {
+			if c < 0 {
 				continue
 			}
-			before := make([]bool, n)
-			copy(before, avail)
-			kills(avail, in)
-			for k := 0; k < n; k++ {
-				if before[k] != avail[k] {
-					dirty[k] = true
-				}
+			if in := &b.Instrs[i]; (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) &&
+				!genned[c] && !must.in[k][c] && may.in[k][c] && sampleLoad[c] != nil {
+				wants = append(wants, want{b, c})
 			}
-			if isGen {
-				avail[c] = true
-				dirty[c] = true
-			}
+			genned[c] = true
 		}
 	}
 	if len(wants) == 0 {
 		return 0
 	}
 
+	// mustOut is the must-available set on exit from a predecessor, as
+	// the block stands: a block the solve did not reach starts from
+	// nothing, and one split off an edge below generates nothing.
+	mustOut := func(b *ir.Block) []bool {
+		s := make([]bool, n)
+		if k, ok := a.order[b]; ok {
+			copy(s, must.in[k])
+		}
+		a.transfer(b, s, true, nil)
+		return s
+	}
 	inserted := 0
 	for _, w := range wants {
 		// Insert a compensation load on each predecessor lacking c.
 		for _, pred := range append([]*ir.Block{}, w.b.Preds...) {
-			if mustOutOf(pred)[w.c] {
+			if mustOut(pred)[w.c] {
 				continue
 			}
 			target := pred

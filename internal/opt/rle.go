@@ -1,7 +1,16 @@
 // Package opt implements the optimizations the paper evaluates TBAA with:
 // redundant load elimination (RLE — loop-invariant load motion plus
 // common-subexpression elimination of memory references, Section 3.4.1),
-// and method invocation resolution with inlining (Section 3.7).
+// partial redundancy elimination of memory expressions (PRE, the paper's
+// future work), and method invocation resolution with inlining (Section
+// 3.7).
+//
+// Redundancy has one definition, the available-load dataflow Avail, run
+// three ways: RLE's CSE runs it with the must meet and removes the loads
+// it finds available; PRE runs it with the must and the may meet and
+// inserts loads where a path is available on some paths only; and the
+// limit study (package limit) runs it must, may, and must with only
+// variable writes killing, to classify the loads RLE leaves.
 package opt
 
 import (
@@ -43,7 +52,12 @@ func (r RLEResult) Removed() int { return r.Hoisted + r.Eliminated }
 // not depend on GOMAXPROCS.
 func RLE(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) RLEResult {
 	per := make([]procResult, len(prog.Procs))
-	par.Do(len(prog.Procs), func(i int) { per[i] = rleProc(prog, prog.Procs[i], o, mr) })
+	par.Do(len(prog.Procs), func(i int) {
+		r, p := &per[i], prog.Procs[i]
+		r.hoisted, r.changed = hoistLoads(prog, p, o, mr)
+		r.eliminated = cseLoads(prog, p, o, mr)
+		r.changed = r.changed || r.eliminated > 0
+	})
 	res := RLEResult{PerProc: make(map[string]int)}
 	var changed []*ir.Proc
 	for i, p := range prog.Procs {
@@ -70,14 +84,6 @@ func RLE(prog *ir.Program, o alias.Oracle, mr *modref.ModRef) RLEResult {
 type procResult struct {
 	hoisted, eliminated int
 	changed             bool
-}
-
-func rleProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) procResult {
-	var res procResult
-	res.hoisted, res.changed = hoistLoads(prog, p, o, mr)
-	res.eliminated = cseLoads(prog, p, o, mr)
-	res.changed = res.changed || res.eliminated > 0
-	return res
 }
 
 // ---------------------------------------------------------------------------
@@ -138,11 +144,9 @@ func hoistLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef)
 
 type loopEnv struct {
 	prog *ir.Program
-	p    *ir.Proc
 	l    *cfg.Loop
 	dom  *cfg.Dominators
-	o    alias.Oracle
-	mr   *modref.ModRef
+	kill killRule
 	// defs maps registers to their defining instruction inside the loop.
 	defs map[ir.Reg]*ir.Instr
 	// defBlock maps in-loop defining instructions to their blocks.
@@ -155,19 +159,17 @@ type loopEnv struct {
 	// callTop reports a call in the loop whose summary is the sound top
 	// (Effects.Top): it may additionally rebind any global.
 	callTop bool
-	// stores are the store instructions inside the loop (kept as
-	// instructions so kill queries carry their statement for
+	// killers are the stores with a path and the calls inside the loop
+	// (kept as instructions so kill queries carry their statement for
 	// flow-sensitive oracles).
-	stores []*ir.Instr
-	// calls are the call instructions inside the loop.
-	calls []*ir.Instr
+	killers []*ir.Instr
 	// hoistMemo caches hoistability per instruction.
 	hoistMemo map[*ir.Instr]bool
 }
 
 func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominators, o alias.Oracle, mr *modref.ModRef) int {
 	env := &loopEnv{
-		prog: prog, p: p, l: l, dom: dom, o: o, mr: mr,
+		prog: prog, l: l, dom: dom, kill: killRule{p: p, o: o, mr: mr, at: prog.AddressTakenVars},
 		defs:        make(map[ir.Reg]*ir.Instr),
 		defBlock:    make(map[*ir.Instr]*ir.Block),
 		varsWritten: make(map[*ir.Var]bool),
@@ -184,17 +186,17 @@ func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominator
 			case ir.OpSetVar, ir.OpStoreVarField:
 				env.varsWritten[in.Var] = true
 				if in.Op == ir.OpStoreVarField && in.AP != nil {
-					env.stores = append(env.stores, in)
+					env.killers = append(env.killers, in)
 				}
 			case ir.OpStore:
 				if in.AP != nil {
-					env.stores = append(env.stores, in)
+					env.killers = append(env.killers, in)
 				}
 				if in.Sel.Kind == ir.SelDeref {
 					env.locsWritten = true
 				}
 			case ir.OpCall, ir.OpMethodCall:
-				env.calls = append(env.calls, in)
+				env.killers = append(env.killers, in)
 				eff := mr.CallEffects(in)
 				if eff != nil && eff.Top {
 					// Nothing is known about the callee: it may rebind
@@ -217,17 +219,17 @@ func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominator
 	var toMove []*ir.Instr
 	moved := make(map[*ir.Instr]bool)
 	sourceHoisted := 0
-	for _, b := range orderedLoopBlocks(p, l) {
+	for _, b := range p.Blocks { // procedure order, for deterministic hoisting
+		if !l.Blocks[b] {
+			continue
+		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op != ir.OpLoad || in.AP == nil || in.AP.IsDope() {
+			if in.Op != ir.OpLoad || in.AP == nil || in.AP.IsDope() || !env.hoistable(in) {
 				continue
 			}
-			if env.hoistable(in) {
-				chain := env.collectChain(in, moved)
-				toMove = append(toMove, chain...)
-				sourceHoisted++
-			}
+			toMove = append(toMove, env.collectChain(in, moved)...)
+			sourceHoisted++
 		}
 	}
 	if len(toMove) == 0 {
@@ -267,20 +269,8 @@ func hoistFromLoop(prog *ir.Program, p *ir.Proc, l *cfg.Loop, dom *cfg.Dominator
 	}
 	ph.Instrs = append(body, term)
 	// The rebuilt instruction slices orphan any per-statement flow facts.
-	alias.InvalidateFlow(env.o, p)
+	alias.InvalidateFlow(o, p)
 	return sourceHoisted
-}
-
-// orderedLoopBlocks returns the loop's blocks in procedure order for
-// deterministic hoisting.
-func orderedLoopBlocks(p *ir.Proc, l *cfg.Loop) []*ir.Block {
-	var bs []*ir.Block
-	for _, b := range p.Blocks {
-		if l.Blocks[b] {
-			bs = append(bs, b)
-		}
-	}
-	return bs
 }
 
 // collectChain returns in (and its not-yet-collected load dependencies)
@@ -390,20 +380,8 @@ func (env *loopEnv) killedInLoop(ap *ir.AP) bool {
 			return true
 		}
 	}
-	for _, st := range env.stores {
-		site := alias.Site{Proc: env.p, Instr: st}
-		if modref.StoreKills(env.o, ap, site, st.AP, site) {
-			return true
-		}
-		if last := st.AP.Last(); last != nil && last.Kind == ir.SelDeref {
-			if modref.LocStoreKills(ap, st.AP.Type().ID(), at) {
-				return true
-			}
-		}
-	}
-	for _, call := range env.calls {
-		site := alias.Site{Proc: env.p, Instr: call}
-		if modref.MayModify(env.mr.CallEffects(call), ap, site, env.o, at) {
+	for _, in := range env.killers {
+		if env.kill.kills(in, ap) {
 			return true
 		}
 	}
@@ -413,239 +391,74 @@ func (env *loopEnv) killedInLoop(ap *ir.AP) bool {
 // ---------------------------------------------------------------------------
 // Available-load CSE
 
-// apClass is one syntactic access-path equivalence class.
-type apClass struct {
-	ap     *ir.AP
-	shadow *ir.Var // lazily allocated
-}
-
 // cseLoads removes loads whose path is available on every incoming
 // path and reports how many it removed. Only blocks holding a removed
 // load or a gen that must feed a shadow variable are rewritten.
 func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) int {
-	p.ComputeCFGEdges()
-	rpo := cfg.ReversePostorder(p)
-	// 1. Collect classes. gen[b][i] is the class instruction i of b
-	// generates, or -1.
-	var classes []*apClass
-	classOf := func(ap *ir.AP) int32 {
-		for i, c := range classes {
-			if c.ap.Equal(ap) {
-				return int32(i)
-			}
-		}
-		classes = append(classes, &apClass{ap: ap})
-		return int32(len(classes) - 1)
-	}
-	isCandidate := func(in *ir.Instr) bool {
-		switch in.Op {
-		case ir.OpLoad:
-			return in.AP != nil && !in.AP.IsDope()
-		case ir.OpLoadVarField, ir.OpStore, ir.OpStoreVarField:
-			return in.AP != nil
-		}
-		return false
-	}
-	nInstrs := 0
-	for _, b := range p.Blocks {
-		nInstrs += len(b.Instrs)
-	}
-	flat := make([]int32, nInstrs)
-	gen := make(map[*ir.Block][]int32, len(p.Blocks))
-	for _, b := range p.Blocks {
-		g := flat[:len(b.Instrs):len(b.Instrs)]
-		flat = flat[len(b.Instrs):]
-		for i := range b.Instrs {
-			g[i] = -1
-			if in := &b.Instrs[i]; isCandidate(in) {
-				g[i] = classOf(in.AP)
-			}
-		}
-		gen[b] = g
-	}
-	if len(classes) == 0 {
+	a := NewAvail(prog, p, o, mr, true)
+	n := len(a.classes)
+	if n == 0 {
 		return 0
 	}
-	n := len(classes)
-	at := prog.AddressTakenVars
-	kills := func(avail []bool, in *ir.Instr) {
-		site := alias.Site{Proc: p, Instr: in}
-		switch in.Op {
-		case ir.OpSetVar:
-			for i, c := range classes {
-				if avail[i] && modref.VarWriteKills(c.ap, in.Var, at) {
-					avail[i] = false
-				}
-			}
-		case ir.OpStore, ir.OpStoreVarField:
-			st := in.AP
-			if st == nil {
-				for i := range avail {
-					avail[i] = false
-				}
-				return
-			}
-			isDerefStore := in.Op == ir.OpStore && in.Sel.Kind == ir.SelDeref
-			for i, c := range classes {
-				if !avail[i] {
-					continue
-				}
-				// An available class's root is unchanged since its gen
-				// (any write to it kills the class below), so evaluating
-				// both paths at the killing statement is exact. StoreKills
-				// also catches stores to the class path's prefixes, which
-				// redirect what the path denotes.
-				if modref.StoreKills(o, c.ap, site, st, site) {
-					avail[i] = false
-					continue
-				}
-				// A store through a location may write an address-taken
-				// variable the path depends on (its root or a subscript).
-				if isDerefStore && modref.LocStoreKills(c.ap, st.Type().ID(), at) {
-					avail[i] = false
-				}
-			}
-		case ir.OpCall, ir.OpMethodCall:
-			eff := mr.CallEffects(in)
-			for i, c := range classes {
-				if avail[i] && modref.MayModify(eff, c.ap, site, o, at) {
-					avail[i] = false
-				}
-			}
-		}
-	}
-	// 2. Per-block gen/out sets via abstract execution.
-	transfer := func(b *ir.Block, avail []bool, onRedundant func(idx int, cls int32)) {
-		g := gen[b]
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			cls := g[i]
-			if cls >= 0 && (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) {
-				if avail[cls] && onRedundant != nil {
-					onRedundant(i, cls)
-				}
-				avail[cls] = true
-				continue
-			}
-			kills(avail, in)
-			if cls >= 0 {
-				// Stores make their own path available (store-to-load
-				// forwarding).
-				avail[cls] = true
-			}
-		}
-	}
-	// availIn[k] and availOut[k] belong to rpo[k]; order maps a block to
-	// its position (unreachable predecessors have none).
-	order := make(map[*ir.Block]int, len(rpo))
-	for k, b := range rpo {
-		order[b] = k
-	}
-	availIn := make([][]bool, len(rpo))
-	availOut := make([][]bool, len(rpo))
-	cells := make([]bool, 2*n*len(rpo))
-	for k, b := range rpo {
-		availIn[k], availOut[k] = cells[:n:n], cells[n:2*n:2*n]
-		cells = cells[2*n:]
-		if b != p.Entry {
-			for i := range availOut[k] {
-				availOut[k][i] = true
-			}
-		}
-	}
-	out := make([]bool, n)
-	for changed := true; changed; {
-		changed = false
-		for k, b := range rpo {
-			in := availIn[k]
-			if b == p.Entry {
-				clear(in)
-			} else {
-				for i := range in {
-					in[i] = true
-				}
-				for _, pred := range b.Preds {
-					j, ok := order[pred]
-					if !ok {
-						continue
-					}
-					for i, v := range availOut[j] {
-						if !v {
-							in[i] = false
-						}
-					}
-				}
-			}
-			copy(out, in)
-			transfer(b, out, nil)
-			if !boolsEqual(out, availOut[k]) {
-				copy(availOut[k], out)
-				changed = true
-			}
-		}
-	}
-	// 3. Find redundant loads and the classes that need shadow variables.
-	type redKey struct {
-		b   *ir.Block
-		idx int
-	}
-	redundant := make(map[redKey]int32)
+	// Find the redundant loads and the classes that need shadow
+	// variables.
+	redundant := make(map[*ir.Instr]int32)
 	needShadow := make([]bool, n)
-	touched := make(map[*ir.Block]bool)
-	for k, b := range rpo {
-		copy(out, availIn[k])
-		transfer(b, out, func(idx int, cls int32) {
-			redundant[redKey{b, idx}] = cls
+	a.Solve(Must, true).Loads(func(b *ir.Block, i int, cls int32, avail bool) {
+		if avail {
+			redundant[&b.Instrs[i]] = cls
 			needShadow[cls] = true
-			touched[b] = true
-		})
-	}
+		}
+	})
 	if len(redundant) == 0 {
 		return 0
 	}
-	for cls, c := range classes {
+	shadows := make([]*ir.Var, n)
+	for cls, ap := range a.classes {
 		if !needShadow[cls] {
 			continue
 		}
-		c.shadow = &ir.Var{
+		shadows[cls] = &ir.Var{
 			Name: fmt.Sprintf("$rle%d", cls),
-			Type: c.ap.Type(),
+			Type: ap.Type(),
 			Kind: ir.LocalVar,
 			Slot: len(p.Params) + len(p.Locals),
 		}
-		p.Locals = append(p.Locals, c.shadow)
+		p.Locals = append(p.Locals, shadows[cls])
 	}
-	// 4. Rewrite the blocks holding a redundant load or a gen whose
-	// class feeds a shadow; every other block keeps its array.
-	for _, b := range rpo {
-		g := gen[b]
-		inserts := 0
+	// Rewrite the blocks holding a redundant load or a gen whose class
+	// feeds a shadow; every other block keeps its array.
+	for _, b := range a.rpo {
+		g := a.gen[b]
+		reds, inserts := 0, 0
 		for i, cls := range g {
 			if cls < 0 || !needShadow[cls] {
 				continue
 			}
-			if _, isRed := redundant[redKey{b, i}]; !isRed {
+			if _, isRed := redundant[&b.Instrs[i]]; isRed {
+				reds++
+			} else {
 				inserts++
 			}
 		}
-		if inserts == 0 && !touched[b] {
+		if reds+inserts == 0 {
 			continue
 		}
 		out := make([]ir.Instr, 0, len(b.Instrs)+inserts)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if rcls, isRed := redundant[redKey{b, i}]; isRed {
+			if rcls, isRed := redundant[in]; isRed {
 				// Replace the load with a copy from the shadow variable.
 				out = append(out, ir.Instr{
 					Op: ir.OpCopy, Dst: in.Dst,
-					Args: []ir.Operand{ir.V(classes[rcls].shadow)},
+					Args: []ir.Operand{ir.V(shadows[rcls])},
 					Type: in.Type, Pos: in.Pos,
 				})
 				continue
 			}
 			out = append(out, *in)
 			if cls := g[i]; cls >= 0 && needShadow[cls] {
-				sh := classes[cls].shadow
+				sh := shadows[cls]
 				switch in.Op {
 				case ir.OpLoad, ir.OpLoadVarField:
 					out = append(out, ir.Instr{Op: ir.OpSetVar, Var: sh,
@@ -660,16 +473,4 @@ func cseLoads(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) i
 	}
 	alias.InvalidateFlow(o, p)
 	return len(redundant)
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
