@@ -102,9 +102,11 @@ func preProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) in
 		return 0
 	}
 
-	// mustOut is the must-available set on exit from a predecessor, as
-	// the block stands: a block the solve did not reach starts from
-	// nothing, and one split off an edge below generates nothing.
+	// mustOut recomputes the must-available set on exit from a
+	// predecessor as the block now stands: an earlier insertion may have
+	// moved its instructions, and flow facts are keyed by instruction. A
+	// block the solve did not reach starts from nothing, and one split
+	// off an edge below generates nothing.
 	mustOut := func(b *ir.Block) []bool {
 		s := make([]bool, n)
 		if k, ok := a.order[b]; ok {
