@@ -10,10 +10,12 @@ test:
 
 # The optimizer's passes fan procedures across GOMAXPROCS workers; the
 # second run race-checks both the one-worker loop and the fan-out on
-# any runner.
+# any runner. The third does the same for the flow solves CountPairs
+# fans out, whose solvers share a pool of scratch.
 test-race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/opt ./internal/randprog
+	$(GO) test -race -cpu 1,4 -run 'Flow|CountPairs' ./internal/alias
 
 # Full benchmark sweep (one iteration each; see bench_test.go for the
 # per-table/figure benchmarks and internal/alias for the oracle ones).

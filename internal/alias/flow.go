@@ -1,9 +1,9 @@
 package alias
 
 import (
+	"slices"
 	"sync"
 
-	"tbaa/internal/cfg"
 	"tbaa/internal/ir"
 	"tbaa/internal/types"
 )
@@ -24,6 +24,17 @@ import (
 // non-aliased when the objects they select through are of provably
 // disjoint allocated types, even though the flow-insensitive
 // declared-type rows intersect.
+//
+// Each procedure is solved once, on a flat layout numbered up front:
+// the variables a state can narrow get dense slots, every load and
+// store path gets a class (paths that render alike share one, so each
+// path is rendered once per solve, not per transfer), and blocks are
+// indexed by reverse-postorder position. A state is one cell per slot
+// plus a short list of path facts sorted by class; every block's entry
+// and exit states live in one slab, and a block is re-transferred only
+// when a predecessor's exit changed. The result keeps only the
+// snapshots of the variable facts at the query sites, packed into one
+// slice; the solver's scratch is pooled and reused.
 
 // Site identifies the statement a flow-sensitive query refers to. The
 // zero Site means "no statement context": the query degrades to the
@@ -145,44 +156,53 @@ func (a *Analysis) InvalidateFlow(procs ...*ir.Proc) {
 // ---------------------------------------------------------------------------
 // The reaching-stores dataflow
 
-// pathFact narrows the value last stored to one access path.
-type pathFact struct {
-	ap  *ir.AP
+// procFlow is one procedure's result: at every query site where some
+// variable is narrowed, the variable facts in force when the statement
+// executes. Consecutive sites of a block share one snapshot until an
+// instruction between them may change a variable fact. Path facts feed
+// loads during the solve and are not kept.
+type procFlow struct {
+	// at maps a query site to its snapshot, facts[lo:hi]; a site with no
+	// narrowed variable is absent.
+	at    map[*ir.Instr]snapshot
+	facts []varFact
+}
+
+type snapshot struct{ lo, hi int32 }
+
+// varFact is one narrowed variable of a snapshot.
+type varFact struct {
+	v   *ir.Var
 	set types.Bitset
 }
 
-// flowState is the per-program-point lattice element. vars maps tracked
-// variables to the set of allocated types their current value may
-// reference; paths maps stored-to access paths (keyed by their source
-// rendering) to the same for their current content. Absent entries are
-// top. A present empty set means "NIL on every path here". Bitsets are
-// immutable once stored, so states, snapshots and TypeRefsTable rows
-// share them freely: transfer installs new sets rather than editing
-// old ones, and join keeps a predecessor's set unless a union grows it,
-// and then unions into a clone.
-type flowState struct {
-	vars  map[*ir.Var]types.Bitset
-	paths map[string]pathFact
-}
-
-// procFlow is the per-procedure result: for every memory-touching or
-// call statement, the narrowed variable facts in force when it
-// executes. Path facts are consumed during the dataflow (they feed
-// loads) and are not needed at query time.
-type procFlow struct {
-	at map[*ir.Instr]map[*ir.Var]types.Bitset
+// fact returns the set v is narrowed to at the query site in, and false
+// when v is not narrowed there (top: its declared-type row).
+func (pf *procFlow) fact(in *ir.Instr, v *ir.Var) (types.Bitset, bool) {
+	s, ok := pf.at[in]
+	if !ok {
+		return nil, false
+	}
+	for _, vf := range pf.facts[s.lo:s.hi] {
+		if vf.v == v {
+			return vf.set, true
+		}
+	}
+	return nil, false
 }
 
 type flow struct {
 	a *Analysis
 	// mu guards the procs map only; each entry's once serializes that
 	// procedure's solve, so distinct procedures solve concurrently (the
-	// parallel CountPairs prebuild fans them across a worker pool).
+	// parallel CountPairs prebuild and RLE's workers fan them out).
 	mu    sync.Mutex
 	procs map[*ir.Proc]*procEntry
 }
 
-// procEntry builds one procedure's facts at most once per program shape.
+// procEntry holds one procedure's facts, solved at most once per
+// program shape. The facts own their storage (no solver scratch), so
+// alias.Update carries an untouched procedure's entry over by pointer.
 type procEntry struct {
 	once sync.Once
 	pf   *procFlow
@@ -254,7 +274,7 @@ func (f *flow) valueSet(root *ir.Var, s Site) types.Bitset {
 		return nil
 	}
 	if s.Proc != nil && s.Instr != nil {
-		if narrowed, ok := f.factsFor(s.Proc).at[s.Instr][root]; ok {
+		if narrowed, ok := f.factsFor(s.Proc).fact(s.Instr, root); ok {
 			return narrowed
 		}
 	}
@@ -286,99 +306,382 @@ func querySite(op ir.Op) bool {
 	return false
 }
 
-// solve runs the forward dataflow over p and snapshots the narrowed
-// variable facts in force at every query site.
+// cell is one variable slot of a state. ok is the presence bit: an
+// absent slot is top (the declared-type row), while a present empty set
+// means NIL on every path here. Present sets are never nil.
+type cell struct {
+	set types.Bitset
+	ok  bool
+}
+
+// pathFact narrows the value last stored to one access path. cls is the
+// path's class: paths that render alike share one, at most one fact per
+// class is in force, and a load uses the fact only when ap is Equal to
+// its own path. A state's path facts are sorted by class.
+type pathFact struct {
+	cls int32
+	ap  *ir.AP
+	set types.Bitset
+}
+
+// solver is the scratch of one procedure's solve. Solvers are pooled:
+// the procFlow a solve returns points into none of it.
+type solver struct {
+	f *flow
+
+	// Numbering. Variable slots are the tracked locals (and the module
+	// body's globals), which start NIL, plus every other tracked
+	// variable an OpSetVar writes. Blocks are numbered by their
+	// reverse-postorder position k; pos maps a block's index in p.Blocks
+	// to k, or -1 when it is unreachable.
+	slotOf   map[*ir.Var]int32
+	slots    []*ir.Var
+	nEntry   int    // slots[:nEntry] start NIL
+	atSlot   []bool // the slot's address escaped
+	callSlot []bool // a call may rebind the slot: a global, or escaped
+	blockPos map[*ir.Block]int32
+	pos      []int32
+	rpo      []*ir.Block
+	dfs      []dfsFrame
+	// cls holds a path class (or -1) for every instruction of every
+	// reachable block, block k's from clsOff[k]; preds holds block k's
+	// reachable predecessors, in b.Preds order, from predOff[k].
+	apCls   map[*ir.AP]int32
+	nameCls map[string]int32
+	cls     []int32
+	clsOff  []int32
+	preds   []int32
+	predOff []int32
+
+	// States. Block k's entry and exit variable cells are
+	// cells[2kn:(2k+1)n] and cells[(2k+1)n:(2k+2)n] for n slots. A block
+	// is re-transferred only when a predecessor's exit changed after
+	// its last join: changedAt and joinedAt are stamps of one clock.
+	cells               []cell
+	inPaths, outPaths   [][]pathFact
+	done                []bool
+	changedAt, joinedAt []uint32
+	clock               uint32
+	owned               []bool // join scratch: a cell's set is this join's own clone
+	ownedPath           []bool
+	cur                 []cell
+	curPaths            []pathFact
+
+	// Register facts live for one block transfer: regs[r] is current
+	// when regAt[r] is the transfer's epoch.
+	regs    []types.Bitset
+	regAt   []uint32
+	epoch   uint32
+	singles map[int]types.Bitset // NEW(T)'s set {T}, per type ID
+
+	// The final sweep's snapshots, copied into exact-size storage.
+	snapFacts []varFact
+	sites     []siteSnap
+}
+
+type dfsFrame struct {
+	b    *ir.Block
+	next int
+}
+
+type siteSnap struct {
+	in *ir.Instr
+	s  snapshot
+}
+
+var solverPool = sync.Pool{New: func() any {
+	return &solver{
+		slotOf:   make(map[*ir.Var]int32),
+		blockPos: make(map[*ir.Block]int32),
+		apCls:    make(map[*ir.AP]int32),
+		nameCls:  make(map[string]int32),
+		singles:  make(map[int]types.Bitset),
+	}
+}}
+
+// solve runs the forward dataflow over p to its fixpoint and snapshots
+// the narrowed variable facts in force at every query site.
 func (f *flow) solve(p *ir.Proc) *procFlow {
-	pf := &procFlow{at: make(map[*ir.Instr]map[*ir.Var]types.Bitset)}
-	entry := func() flowState { return f.entryState(p) }
-	transfer := func(b *ir.Block, in flowState) flowState {
-		st := in.clone()
-		f.transferBlock(b, st, nil)
-		return st
-	}
-	ins := cfg.ForwardSolve(p, entry, joinStates, transfer, statesEqual)
-	// Final sweep: replay each block's transfer, recording the variable
-	// facts in force just before every query site executes.
-	for _, b := range p.Blocks {
-		in, ok := ins[b]
-		if !ok {
-			continue // unreachable: queries fall back to declared rows
-		}
-		st := in.clone()
-		f.transferBlock(b, st, pf.at)
-	}
+	s := solverPool.Get().(*solver)
+	s.f = f
+	s.number(p)
+	s.fixpoint(p.NumRegs)
+	pf := s.snapshots()
+	s.release()
+	solverPool.Put(s)
 	return pf
 }
 
-// entryState seeds the dataflow. Locals are zero-initialized by the
-// machine, so every tracked local starts NIL (the empty set); so do the
-// globals when p is the module body, which runs first and is never
-// called. Parameters and (elsewhere) globals start at top.
-func (f *flow) entryState(p *ir.Proc) flowState {
-	st := flowState{vars: map[*ir.Var]types.Bitset{}, paths: map[string]pathFact{}}
+// number orders p's reachable blocks in reverse postorder and numbers
+// the variable slots and the path classes of the instructions in them.
+// It renders each distinct path once.
+func (s *solver) number(p *ir.Proc) {
+	f := s.f
 	for _, v := range p.Locals {
-		if f.tracked(v) {
-			st.vars[v] = types.Bitset{}
-		}
+		s.entrySlot(v)
 	}
 	if p == f.a.prog.Main {
 		for _, v := range f.a.prog.Globals {
-			if f.tracked(v) {
-				st.vars[v] = types.Bitset{}
+			s.entrySlot(v)
+		}
+	}
+	s.nEntry = len(s.slots)
+	s.order(p)
+	s.clsOff = s.clsOff[:0]
+	s.predOff = s.predOff[:0]
+	for _, b := range s.rpo {
+		s.clsOff = append(s.clsOff, int32(len(s.cls)))
+		s.predOff = append(s.predOff, int32(len(s.preds)))
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			c := int32(-1)
+			switch in.Op {
+			case ir.OpLoad, ir.OpLoadVarField, ir.OpStore, ir.OpStoreVarField:
+				if in.AP != nil {
+					c = s.classOf(in.AP)
+				}
+			case ir.OpSetVar:
+				if f.tracked(in.Var) {
+					s.slot(in.Var)
+				}
+			}
+			s.cls = append(s.cls, c)
+		}
+		for _, pred := range b.Preds {
+			if j := s.pos[s.index(p, pred)]; j >= 0 {
+				s.preds = append(s.preds, j)
 			}
 		}
 	}
-	return st
+	s.clsOff = append(s.clsOff, int32(len(s.cls)))
+	s.predOff = append(s.predOff, int32(len(s.preds)))
 }
 
-func (st flowState) clone() flowState {
-	out := flowState{
-		vars:  make(map[*ir.Var]types.Bitset, len(st.vars)),
-		paths: make(map[string]pathFact, len(st.paths)),
+// entrySlot numbers a variable that starts NIL, if tracked.
+func (s *solver) entrySlot(v *ir.Var) {
+	if s.f.tracked(v) {
+		s.slot(v)
 	}
-	for v, s := range st.vars {
-		out.vars[v] = s
-	}
-	for k, fct := range st.paths {
-		out.paths[k] = fct
-	}
-	return out
 }
 
-// joinStates meets predecessor exit states: an entry survives only when
-// present on every incoming path, with the union of its per-path sets.
-// The first predecessor's set is shared when no other adds bits to it.
-func joinStates(preds []flowState) flowState {
-	out := flowState{vars: map[*ir.Var]types.Bitset{}, paths: map[string]pathFact{}}
-	for v, s := range preds[0].vars {
-		merged, owned, ok := s, false, true
-		for _, ps := range preds[1:] {
-			other, has := ps.vars[v]
-			if !has {
-				ok = false
-				break
+func (s *solver) slot(v *ir.Var) int32 {
+	if k, ok := s.slotOf[v]; ok {
+		return k
+	}
+	k := int32(len(s.slots))
+	s.slotOf[v] = k
+	s.slots = append(s.slots, v)
+	at := s.f.a.prog.AddressTakenVars[v]
+	s.atSlot = append(s.atSlot, at)
+	s.callSlot = append(s.callSlot, at || v.Kind == ir.GlobalVar)
+	return k
+}
+
+// classOf returns ap's class: its source rendering, numbered.
+func (s *solver) classOf(ap *ir.AP) int32 {
+	if c, ok := s.apCls[ap]; ok {
+		return c
+	}
+	name := ap.String()
+	c, ok := s.nameCls[name]
+	if !ok {
+		c = int32(len(s.nameCls))
+		s.nameCls[name] = c
+	}
+	s.apCls[ap] = c
+	return c
+}
+
+// index returns b's index in p.Blocks. Lowering, inlining and edge
+// splitting keep a block's ID equal to its index; order falls back to
+// a map for procedures where they differ.
+func (s *solver) index(p *ir.Proc, b *ir.Block) int {
+	if len(s.blockPos) == 0 {
+		return b.ID
+	}
+	return int(s.blockPos[b])
+}
+
+// order fills rpo and pos with the reverse postorder of the blocks
+// reachable from p.Entry: the order cfg.ReversePostorder returns.
+func (s *solver) order(p *ir.Proc) {
+	for i, b := range p.Blocks {
+		if b.ID != i {
+			for i, b := range p.Blocks {
+				s.blockPos[b] = int32(i)
 			}
-			merged, owned = unionShared(merged, owned, other)
-		}
-		if ok {
-			out.vars[v] = merged
+			break
 		}
 	}
-	for k, fct := range preds[0].paths {
-		merged, owned, ok := fct.set, false, true
-		for _, ps := range preds[1:] {
-			other, has := ps.paths[k]
-			if !has || !other.ap.Equal(fct.ap) {
-				ok = false
-				break
+	s.pos = slices.Grow(s.pos[:0], len(p.Blocks))[:len(p.Blocks)]
+	for i := range s.pos {
+		s.pos[i] = -1
+	}
+	s.pos[s.index(p, p.Entry)] = 0
+	s.dfs = append(s.dfs[:0], dfsFrame{b: p.Entry})
+	for len(s.dfs) > 0 {
+		top := &s.dfs[len(s.dfs)-1]
+		if top.next < len(top.b.Succs) {
+			succ := top.b.Succs[top.next]
+			top.next++
+			if i := s.index(p, succ); s.pos[i] < 0 {
+				s.pos[i] = 0
+				s.dfs = append(s.dfs, dfsFrame{b: succ})
 			}
-			merged, owned = unionShared(merged, owned, other.set)
+			continue
 		}
-		if ok {
-			out.paths[k] = pathFact{ap: fct.ap, set: merged}
+		s.rpo = append(s.rpo, top.b)
+		s.dfs = s.dfs[:len(s.dfs)-1]
+	}
+	slices.Reverse(s.rpo)
+	for k, b := range s.rpo {
+		s.pos[s.index(p, b)] = int32(k)
+	}
+}
+
+// fixpoint solves the dataflow. Blocks are visited in reverse postorder
+// until no exit state changes; the entry block starts from the entry
+// state, and every other block from the join of the predecessors that
+// have an exit state (back edges on the first sweep are skipped, which
+// yields the optimistic least fixpoint).
+func (s *solver) fixpoint(regs int) {
+	n, m := len(s.slots), len(s.rpo)
+	s.cells = resize(s.cells, 2*n*m)
+	s.cur = resize(s.cur, n)
+	s.owned = resize(s.owned, n)
+	s.inPaths = resize(s.inPaths, m)
+	s.outPaths = resize(s.outPaths, m)
+	s.done = resize(s.done, m)
+	s.changedAt = resize(s.changedAt, m)
+	s.joinedAt = resize(s.joinedAt, m)
+	s.clock = 0
+	s.regs = resize(s.regs, regs)
+	s.regAt = resize(s.regAt, regs)
+	s.epoch = 0
+	// The entry state: locals are zero-initialized by the machine, so
+	// every tracked local starts NIL; so do the globals when p is the
+	// module body, which runs first and is never called. Everything else
+	// starts at top.
+	for i := range s.nEntry {
+		s.cells[i] = cell{set: types.Bitset{}, ok: true}
+	}
+	for changed := true; changed; {
+		changed = false
+		for k := range s.rpo {
+			if !s.join(k) {
+				continue
+			}
+			copy(s.cur, s.cells[2*k*n:(2*k+1)*n])
+			s.curPaths = append(s.curPaths[:0], s.inPaths[k]...)
+			s.transferBlock(k, false)
+			out := s.cells[(2*k+1)*n : (2*k+2)*n]
+			if s.done[k] && sameState(s.cur, out, s.curPaths, s.outPaths[k]) {
+				continue
+			}
+			copy(out, s.cur)
+			s.outPaths[k] = append(s.outPaths[k][:0], s.curPaths...)
+			s.done[k] = true
+			s.clock++
+			s.changedAt[k] = s.clock
+			changed = true
 		}
 	}
-	return out
+}
+
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// join computes block k's entry state in place and reports whether the
+// block needs a transfer: its first visit, or a predecessor's exit
+// changed since its last join. A set no other predecessor adds to is
+// shared with the first predecessor's exit; one that grows is unioned
+// into a clone.
+func (s *solver) join(k int) bool {
+	n := len(s.slots)
+	if k == 0 {
+		return !s.done[0] // the entry state never changes
+	}
+	preds := s.preds[s.predOff[k]:s.predOff[k+1]]
+	stale := false
+	for _, j := range preds {
+		if s.done[j] && s.changedAt[j] > s.joinedAt[k] {
+			stale = true
+			break
+		}
+	}
+	if !stale {
+		return false
+	}
+	s.clock++
+	s.joinedAt[k] = s.clock
+	in := s.cells[2*k*n : (2*k+1)*n]
+	paths := s.inPaths[k][:0]
+	first := true
+	for _, j := range preds {
+		if !s.done[j] {
+			continue
+		}
+		out := s.cells[(2*int(j)+1)*n : (2*int(j)+2)*n]
+		other := s.outPaths[j]
+		if first {
+			first = false
+			copy(in, out)
+			clear(s.owned)
+			paths = append(paths, other...)
+			s.ownedPath = resize(s.ownedPath, len(paths))
+			continue
+		}
+		for i := range in {
+			if !in[i].ok {
+				continue
+			}
+			if !out[i].ok {
+				in[i] = cell{}
+				continue
+			}
+			in[i].set, s.owned[i] = unionShared(in[i].set, s.owned[i], out[i].set)
+		}
+		// Both lists are sorted by class: a fact survives when the other
+		// predecessor holds one for an Equal path.
+		w, o := 0, 0
+		for r, fct := range paths {
+			for o < len(other) && other[o].cls < fct.cls {
+				o++
+			}
+			if o == len(other) || other[o].cls != fct.cls || !other[o].ap.Equal(fct.ap) {
+				continue
+			}
+			fct.set, s.ownedPath[w] = unionShared(fct.set, s.ownedPath[r], other[o].set)
+			paths[w] = fct
+			w++
+		}
+		paths = paths[:w]
+	}
+	s.inPaths[k] = paths
+	return true
+}
+
+// sameState reports whether two states hold the same facts. Path facts
+// compare by class and set: a fact whose path changed to another of
+// the same rendering, with the same set, is no change.
+func sameState(a, b []cell, ap, bp []pathFact) bool {
+	for i := range a {
+		if a[i].ok != b[i].ok || a[i].ok && !a[i].set.Equal(b[i].set) {
+			return false
+		}
+	}
+	if len(ap) != len(bp) {
+		return false
+	}
+	for i := range ap {
+		if ap[i].cls != bp[i].cls || !ap[i].set.Equal(bp[i].set) {
+			return false
+		}
+	}
+	return true
 }
 
 // unionShared returns dst ∪ src without editing a set it does not own:
@@ -409,97 +712,177 @@ func subset(a, b types.Bitset) bool {
 	return true
 }
 
-func statesEqual(a, b flowState) bool {
-	if len(a.vars) != len(b.vars) || len(a.paths) != len(b.paths) {
-		return false
+// snapshots replays every reachable block from its converged entry
+// state and records the variable facts in force just before each query
+// site, into storage of exact size.
+func (s *solver) snapshots() *procFlow {
+	n := len(s.slots)
+	for k := range s.rpo {
+		copy(s.cur, s.cells[2*k*n:(2*k+1)*n])
+		s.curPaths = append(s.curPaths[:0], s.inPaths[k]...)
+		s.transferBlock(k, true)
 	}
-	for v, s := range a.vars {
-		o, ok := b.vars[v]
-		if !ok || !s.Equal(o) {
-			return false
-		}
+	pf := &procFlow{}
+	if len(s.sites) == 0 {
+		return pf
 	}
-	for k, fct := range a.paths {
-		o, ok := b.paths[k]
-		if !ok || !fct.set.Equal(o.set) {
-			return false
-		}
+	pf.facts = slices.Clone(s.snapFacts)
+	pf.at = make(map[*ir.Instr]snapshot, len(s.sites))
+	for _, ss := range s.sites {
+		pf.at[ss.in] = ss.s
 	}
-	return true
+	return pf
 }
 
-// transferBlock applies every instruction of b to st in place. When
-// snap is non-nil, the pre-instruction variable facts of each query
-// site are recorded into it; consecutive sites share one snapshot map
-// until an instruction touches a variable fact (snapshots are never
-// mutated after capture, so sharing is safe). Register facts are
-// tracked per block only: a register defined in an earlier block
-// contributes no narrowing, which is sound (absent means top) —
-// lowered code materializes cross-block values in variables and access
-// paths, both tracked.
-func (f *flow) transferBlock(b *ir.Block, st flowState, snap map[*ir.Instr]map[*ir.Var]types.Bitset) {
-	regs := make(map[ir.Reg]types.Bitset)
-	var shared map[*ir.Var]types.Bitset
+// release drops what the solve referenced, so a pooled solver keeps
+// only capacity.
+func (s *solver) release() {
+	s.f = nil
+	clear(s.slotOf)
+	clear(s.blockPos)
+	clear(s.apCls)
+	clear(s.nameCls)
+	clear(s.singles)
+	clear(s.slots)
+	s.slots = s.slots[:0]
+	s.atSlot = s.atSlot[:0]
+	s.callSlot = s.callSlot[:0]
+	clear(s.rpo)
+	s.rpo = s.rpo[:0]
+	s.cls = s.cls[:0]
+	s.preds = s.preds[:0]
+	clear(s.cells)
+	for k := range s.inPaths {
+		clear(s.inPaths[k])
+		clear(s.outPaths[k])
+	}
+	clear(s.cur)
+	clear(s.curPaths)
+	clear(s.regs)
+	clear(s.snapFacts)
+	s.snapFacts = s.snapFacts[:0]
+	clear(s.sites)
+	s.sites = s.sites[:0]
+}
+
+// transferBlock applies block k's instructions to the current state.
+// With record set, each query site first shares the snapshot of the
+// site before it, or takes a new one after an instruction that may have
+// changed a variable fact. Register facts are tracked per block only:
+// a register defined in an earlier block contributes no narrowing,
+// which is sound (absent means top) — lowered code materializes
+// cross-block values in variables and access paths, both tracked.
+func (s *solver) transferBlock(k int, record bool) {
+	b := s.rpo[k]
+	cls := s.cls[s.clsOff[k]:s.clsOff[k+1]]
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.regAt)
+		s.epoch = 1
+	}
+	open := false
+	var snap snapshot
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
-		if snap != nil && querySite(in.Op) && len(st.vars) > 0 {
-			if shared == nil {
-				shared = make(map[*ir.Var]types.Bitset, len(st.vars))
-				for v, s := range st.vars {
-					shared[v] = s
-				}
+		if record && querySite(in.Op) {
+			if !open {
+				snap, open = s.snap(), true
 			}
-			snap[in] = shared
+			if snap.hi > snap.lo {
+				s.sites = append(s.sites, siteSnap{in, snap})
+			}
 		}
-		if f.transferInstr(in, st, regs) {
-			shared = nil
+		if s.transferInstr(in, cls[i]) {
+			open = false
 		}
 	}
 }
 
-// transferInstr applies one instruction to the state and reports
-// whether it may have changed a variable fact (invalidating any shared
-// snapshot of st.vars).
-func (f *flow) transferInstr(in *ir.Instr, st flowState, regs map[ir.Reg]types.Bitset) bool {
+// snap appends the present variable facts of the current state to the
+// snapshot storage.
+func (s *solver) snap() snapshot {
+	lo := len(s.snapFacts)
+	for i, c := range s.cur {
+		if c.ok {
+			s.snapFacts = append(s.snapFacts, varFact{s.slots[i], c.set})
+		}
+	}
+	return snapshot{int32(lo), int32(len(s.snapFacts))}
+}
+
+func (s *solver) reg(r ir.Reg) types.Bitset {
+	if int(r) < len(s.regs) && s.regAt[r] == s.epoch {
+		return s.regs[r]
+	}
+	return nil
+}
+
+func (s *solver) setReg(r ir.Reg, set types.Bitset) {
+	for int(r) >= len(s.regs) {
+		s.regs = append(s.regs, nil)
+		s.regAt = append(s.regAt, 0)
+	}
+	s.regs[r], s.regAt[r] = set, s.epoch
+}
+
+// transferInstr applies one instruction, of path class cls, to the
+// current state and reports whether it may have changed a variable fact
+// (ending the snapshot the sites before it share).
+func (s *solver) transferInstr(in *ir.Instr, cls int32) bool {
+	f := s.f
 	switch in.Op {
 	case ir.OpNew, ir.OpNewArray:
 		// NEW(T) references an object of exactly the allocation type.
 		if f.row(in.Type) != nil {
-			s := types.NewBitset(in.Type.ID() + 1)
-			s.Add(in.Type.ID())
-			regs[in.Dst] = s
+			id := in.Type.ID()
+			set, ok := s.singles[id]
+			if !ok {
+				set = types.NewBitset(id + 1)
+				set.Add(id)
+				s.singles[id] = set
+			}
+			s.setReg(in.Dst, set)
 		}
 	case ir.OpCopy:
-		if s := f.operandSet(in.Args[0], st, regs); s != nil {
-			regs[in.Dst] = s
+		if set := s.operandSet(in.Args[0]); set != nil {
+			s.setReg(in.Dst, set)
 		}
 	case ir.OpLoad, ir.OpLoadVarField:
 		// A load re-narrows to the reaching store's fact when one is in
 		// force for the same path; otherwise a heap value of static type
 		// T may reference anything in T's row.
-		if in.AP != nil {
-			if fct, ok := st.paths[in.AP.String()]; ok && fct.ap.Equal(in.AP) {
-				regs[in.Dst] = fct.set
+		if cls >= 0 {
+			if i, ok := s.findPath(cls); ok && s.curPaths[i].ap.Equal(in.AP) {
+				s.setReg(in.Dst, s.curPaths[i].set)
 				return false
 			}
 		}
-		if s := f.row(in.Type); s != nil {
-			regs[in.Dst] = s
+		if set := f.row(in.Type); set != nil {
+			s.setReg(in.Dst, set)
 		}
 	case ir.OpBuiltin:
-		if s := f.row(in.Type); s != nil {
-			regs[in.Dst] = s
+		if set := f.row(in.Type); set != nil {
+			s.setReg(in.Dst, set)
 		}
 	case ir.OpSetVar:
 		// Rewriting v changes what any path mentioning v denotes; if v's
 		// slot address escaped, it can also be the target of a by-ref
 		// path, whose facts are never tracked (see storeFact).
-		killPathsUsing(st, in.Var)
-		if f.tracked(in.Var) {
-			if s := f.operandSet(in.Args[0], st, regs); s != nil {
-				st.vars[in.Var] = s
+		if in.Var != nil {
+			w := 0
+			for _, fct := range s.curPaths {
+				if !fct.ap.UsesVar(in.Var) {
+					s.curPaths[w] = fct
+					w++
+				}
+			}
+			s.curPaths = s.curPaths[:w]
+		}
+		if k, ok := s.slotOf[in.Var]; ok {
+			if set := s.operandSet(in.Args[0]); set != nil {
+				s.cur[k] = cell{set: set, ok: true}
 			} else {
-				delete(st.vars, in.Var)
+				s.cur[k] = cell{}
 			}
 			return true
 		}
@@ -508,19 +891,23 @@ func (f *flow) transferInstr(in *ir.Instr, st flowState, regs map[ir.Reg]types.B
 			// A store through a location (a by-ref formal or WITH alias)
 			// may rewrite any variable whose slot address escaped and any
 			// heap location at all (locations can point into the heap).
-			f.killAddressTaken(st)
-			clear(st.paths)
+			for k := range s.cur {
+				if s.atSlot[k] {
+					s.cur[k] = cell{}
+				}
+			}
+			s.curPaths = s.curPaths[:0]
 			return true
 		}
-		f.storeFact(in, st, regs)
+		s.storeFact(in, cls)
 	case ir.OpStoreVarField:
 		if in.AP != nil {
-			f.storeFact(in, st, regs)
+			s.storeFact(in, cls)
 		} else {
 			// A store with no recorded path could have written anything
 			// a fact describes (the optimizer's kill logic treats this
 			// case as kill-everything too).
-			clear(st.paths)
+			s.curPaths = s.curPaths[:0]
 		}
 	case ir.OpCall, ir.OpMethodCall:
 		// Without interprocedural summaries the callee may reassign
@@ -528,16 +915,27 @@ func (f *flow) transferInstr(in *ir.Instr, st flowState, regs map[ir.Reg]types.B
 		// variable, and store anywhere in the heap — kill everything a
 		// callee could touch. With summaries (LevelIPTypeRefs), kill
 		// only the facts the call's possible callees may actually
-		// modify. Returned references are bounded by the result type's
-		// row either way (RETURN records a merge).
-		if cs := f.a.summaries; cs != nil {
-			f.killCallsSummarized(cs, in, st)
-		} else {
-			f.killCalls(st)
-			clear(st.paths)
+		// modify: a variable dies only when they may rebind it, a path
+		// only when their summarized stores may overwrite it or
+		// something it depends on. Locals whose address never escapes
+		// are beyond any callee's reach either way. Returned references
+		// are bounded by the result type's row (RETURN records a merge).
+		cs := f.a.summaries
+		for k, v := range s.slots {
+			if s.cur[k].ok && s.callSlot[k] && (cs == nil || cs.CallMayRebind(in, v)) {
+				s.cur[k] = cell{}
+			}
 		}
-		if s := f.row(in.Type); s != nil {
-			regs[in.Dst] = s
+		w := 0
+		for _, fct := range s.curPaths {
+			if cs != nil && !cs.CallKillsPath(in, fct.ap) {
+				s.curPaths[w] = fct
+				w++
+			}
+		}
+		s.curPaths = s.curPaths[:w]
+		if set := f.row(in.Type); set != nil {
+			s.setReg(in.Dst, set)
 		}
 		return true
 	}
@@ -547,14 +945,17 @@ func (f *flow) transferInstr(in *ir.Instr, st flowState, regs map[ir.Reg]types.B
 // storeFact kills every path fact the store invalidates and, when the
 // stored value's set is known and the path is re-loadable (non-by-ref
 // root, no register subscripts), generates the new fact.
-func (f *flow) storeFact(in *ir.Instr, st flowState, regs map[ir.Reg]types.Bitset) {
-	for k, fct := range st.paths {
-		// Zero Sites make StoreKills purely flow-insensitive here, which
-		// avoids re-entering the per-proc fact builder mid-solve.
-		if f.a.StoreKills(fct.ap, Site{}, in.AP, Site{}) {
-			delete(st.paths, k)
+func (s *solver) storeFact(in *ir.Instr, cls int32) {
+	// Zero Sites make StoreKills purely flow-insensitive here, which
+	// avoids re-entering the per-proc fact builder mid-solve.
+	w := 0
+	for _, fct := range s.curPaths {
+		if !s.f.a.StoreKills(fct.ap, Site{}, in.AP, Site{}) {
+			s.curPaths[w] = fct
+			w++
 		}
 	}
+	s.curPaths = s.curPaths[:w]
 	if in.AP.Root.ByRef {
 		return
 	}
@@ -563,25 +964,44 @@ func (f *flow) storeFact(in *ir.Instr, st flowState, regs map[ir.Reg]types.Bitse
 			return // register subscripts cannot be tracked across kills
 		}
 	}
-	if s := f.operandSet(in.Args[0], st, regs); s != nil {
-		st.paths[in.AP.String()] = pathFact{ap: in.AP, set: s}
+	set := s.operandSet(in.Args[0])
+	if set == nil {
+		return
 	}
+	fct := pathFact{cls: cls, ap: in.AP, set: set}
+	i, ok := s.findPath(cls)
+	if ok {
+		s.curPaths[i] = fct
+	} else {
+		s.curPaths = slices.Insert(s.curPaths, i, fct)
+	}
+}
+
+// findPath returns the index of the current fact of class cls, or where
+// one would be inserted.
+func (s *solver) findPath(cls int32) (int, bool) {
+	for i, fct := range s.curPaths {
+		if fct.cls >= cls {
+			return i, fct.cls == cls
+		}
+	}
+	return len(s.curPaths), false
 }
 
 // operandSet evaluates the set of allocated types an operand's value
 // may reference, or nil for unknown (top).
-func (f *flow) operandSet(o ir.Operand, st flowState, regs map[ir.Reg]types.Bitset) types.Bitset {
+func (s *solver) operandSet(o ir.Operand) types.Bitset {
 	switch o.Kind {
 	case ir.VarOp:
-		if !f.tracked(o.Var) {
+		if !s.f.tracked(o.Var) {
 			return nil
 		}
-		if s, ok := st.vars[o.Var]; ok {
-			return s
+		if k, ok := s.slotOf[o.Var]; ok && s.cur[k].ok {
+			return s.cur[k].set
 		}
-		return f.row(o.Var.Type)
+		return s.f.row(o.Var.Type)
 	case ir.RegOp:
-		return regs[o.Reg]
+		return s.reg(o.Reg)
 	case ir.ConstOp:
 		if o.Const.Kind == ir.NilConst {
 			// NIL references nothing: the non-nil empty set.
@@ -589,56 +1009,4 @@ func (f *flow) operandSet(o ir.Operand, st flowState, regs map[ir.Reg]types.Bits
 		}
 	}
 	return nil
-}
-
-// killPathsUsing drops facts for paths that mention v as root or
-// subscript: writing v changes which location they denote.
-func killPathsUsing(st flowState, v *ir.Var) {
-	if v == nil {
-		return
-	}
-	for k, fct := range st.paths {
-		if fct.ap.UsesVar(v) {
-			delete(st.paths, k)
-		}
-	}
-}
-
-func (f *flow) killAddressTaken(st flowState) {
-	at := f.a.prog.AddressTakenVars
-	for v := range st.vars {
-		if at[v] {
-			delete(st.vars, v)
-		}
-	}
-}
-
-func (f *flow) killCalls(st flowState) {
-	at := f.a.prog.AddressTakenVars
-	for v := range st.vars {
-		if v.Kind == ir.GlobalVar || at[v] {
-			delete(st.vars, v)
-		}
-	}
-}
-
-// killCallsSummarized is the interprocedural call-kill rule: variable
-// facts die only when the callees may rebind the variable (a global
-// they reassign, or an escaped local they can reach through a
-// location), and path facts only when the callees' summarized stores
-// may overwrite the path or something it depends on. Locals whose
-// address never escapes are beyond any callee's reach, exactly as in
-// killCalls.
-func (f *flow) killCallsSummarized(cs CallSummaries, in *ir.Instr, st flowState) {
-	at := f.a.prog.AddressTakenVars
-	for v := range st.vars {
-		if (v.Kind == ir.GlobalVar || at[v]) && cs.CallMayRebind(in, v) {
-			delete(st.vars, v)
-		}
-	}
-	for k, fct := range st.paths {
-		if cs.CallKillsPath(in, fct.ap) {
-			delete(st.paths, k)
-		}
-	}
 }

@@ -1,15 +1,20 @@
 package alias_test
 
 import (
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tbaa/internal/alias"
+	"tbaa/internal/bench"
 	"tbaa/internal/driver"
 	"tbaa/internal/interp"
 	"tbaa/internal/ir"
 	"tbaa/internal/modref"
 	"tbaa/internal/opt"
+	"tbaa/internal/randprog"
 	"tbaa/internal/types"
 )
 
@@ -321,4 +326,69 @@ func TestFlowJoinLeavesPredecessorFactsAlone(t *testing.T) {
 	check("x.i", []string{"S1", "S2", "S1", "S1,S2", "S1,S2", "S1,S2"})
 	// y: before the branch, plain THEN arm, widening ELSE arm, after.
 	check("y.i", []string{"S1", "S1", "S2", "S1,S2"})
+}
+
+// TestFlowFactsMatchReference is the differential behind the slot
+// layout of the flow solver: at every query site, every tracked
+// variable's fact — whether it is narrowed, and to which set — must be
+// the one the map-keyed reference solver (flow_ref_test.go) computes.
+// Every stock program and lower-vm run at FSTypeRefs and IPTypeRefs in
+// both worlds, and random programs spread round-robin over those four
+// configurations (TBAA_DIFF_SEEDS overrides their count; the CI gate
+// runs 500). Facts are compared after lowering and after every pass of
+// Devirt, MinvInline, RLE and PRE through a PassEnv.
+func TestFlowFactsMatchReference(t *testing.T) {
+	seeds := 100
+	if s := os.Getenv("TBAA_DIFF_SEEDS"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			t.Fatalf("bad TBAA_DIFF_SEEDS=%q", s)
+		}
+		seeds = n
+	} else if testing.Short() {
+		seeds = 20
+	}
+	var configs []alias.Options
+	for _, lvl := range []alias.Level{alias.LevelFSTypeRefs, alias.LevelIPTypeRefs} {
+		configs = append(configs, alias.Options{Level: lvl}, alias.Options{Level: lvl, OpenWorld: true})
+	}
+	bms := bench.All()
+	if vm, ok := bench.ByName("lower-vm"); ok {
+		bms = append(bms, vm)
+	}
+	for _, bm := range bms {
+		for _, opts := range configs {
+			checkFlowAgainstReference(t, bm.Name, bm.Source, opts)
+		}
+	}
+	for k := 0; k < seeds; k++ {
+		seed := int64(87000 + k)
+		checkFlowAgainstReference(t, fmt.Sprintf("seed %d", seed),
+			randprog.Generate(seed, randprog.DefaultConfig()), configs[k%len(configs)])
+	}
+}
+
+func checkFlowAgainstReference(t *testing.T, name, src string, opts alias.Options) {
+	t.Helper()
+	prog, _, err := driver.Compile(name, src)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	env, err := driver.NewPassEnv(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if err := alias.DiffFlowFacts(env.Oracle()); err != nil {
+			t.Fatalf("%s %v open=%v after %s: %v", name, opts.Level, opts.OpenWorld, stage, err)
+		}
+	}
+	check("lowering")
+	for _, pass := range []driver.Pass{driver.DevirtPass{}, driver.MinvInlinePass{}, driver.RLEPass{}, driver.PREPass{}} {
+		if _, err := pass.Run(env); err != nil {
+			t.Fatalf("%s: pass %s: %v", name, pass.Name(), err)
+		}
+		check(pass.Name())
+	}
 }

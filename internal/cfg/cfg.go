@@ -30,51 +30,6 @@ func ReversePostorder(p *ir.Proc) []*ir.Block {
 	return order
 }
 
-// ForwardSolve runs an iterative forward dataflow analysis to fixpoint
-// and returns the state at the entry of every reachable block.
-//
-// transfer maps a block's entry state to its exit state (it must not
-// mutate its input), join folds the exit states of a block's already-
-// visited predecessors (called with a non-empty slice), entry supplies
-// the state at the procedure entry, and equal decides convergence.
-// Blocks are visited in reverse postorder; predecessors that have no
-// computed exit state yet (back edges on the first sweep, unreachable
-// blocks forever) are skipped by the join, which yields the optimistic
-// least fixpoint for monotone transfer functions.
-func ForwardSolve[S any](p *ir.Proc, entry func() S, join func(preds []S) S, transfer func(b *ir.Block, in S) S, equal func(a, b S) bool) map[*ir.Block]S {
-	rpo := ReversePostorder(p)
-	ins := make(map[*ir.Block]S, len(rpo))
-	outs := make(map[*ir.Block]S, len(rpo))
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			var in S
-			if b == p.Entry {
-				in = entry()
-			} else {
-				var preds []S
-				for _, pred := range b.Preds {
-					if po, ok := outs[pred]; ok {
-						preds = append(preds, po)
-					}
-				}
-				if len(preds) == 0 {
-					continue // no computed predecessor yet
-				}
-				in = join(preds)
-			}
-			ins[b] = in
-			out := transfer(b, in)
-			old, ok := outs[b]
-			if !ok || !equal(old, out) {
-				outs[b] = out
-				changed = true
-			}
-		}
-	}
-	return ins
-}
-
 // Dominators holds immediate-dominator information for a procedure.
 type Dominators struct {
 	idom  map[*ir.Block]*ir.Block

@@ -230,51 +230,3 @@ END M.
 		}
 	}
 }
-
-// TestForwardSolve runs a tiny forward dataflow — "number of blocks
-// executed along the longest path so far" capped at a fixpoint — over
-// the loopy procedure, checking the generic solver's contract: entry
-// state at the entry block, joins over computed predecessors only, and
-// convergence on cyclic CFGs.
-func TestForwardSolve(t *testing.T) {
-	p := compileProc(t, loopy, "F")
-	const cap = 50
-	ins := cfg.ForwardSolve(p,
-		func() int { return 0 },
-		func(preds []int) int {
-			m := preds[0]
-			for _, v := range preds[1:] {
-				if v > m {
-					m = v
-				}
-			}
-			return m
-		},
-		func(b *ir.Block, in int) int {
-			if in >= cap {
-				return cap
-			}
-			return in + 1
-		},
-		func(a, b int) bool { return a == b },
-	)
-	if got := ins[p.Entry]; got != 0 {
-		t.Errorf("entry in-state = %d, want 0", got)
-	}
-	rpo := cfg.ReversePostorder(p)
-	if len(ins) != len(rpo) {
-		t.Errorf("solved %d blocks, want every reachable block (%d)", len(ins), len(rpo))
-	}
-	// Loop headers sit on cycles, so their in-state must have climbed to
-	// the cap — proof the solver iterated the back edges to fixpoint.
-	dom := cfg.ComputeDominators(p)
-	sawCap := false
-	for _, l := range cfg.FindLoops(p, dom) {
-		if ins[l.Header] == cap {
-			sawCap = true
-		}
-	}
-	if !sawCap {
-		t.Error("no loop header reached the fixpoint cap; back edges not iterated")
-	}
-}

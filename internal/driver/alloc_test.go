@@ -5,6 +5,7 @@ import (
 	"runtime/metrics"
 	"testing"
 
+	"tbaa/internal/alias"
 	"tbaa/internal/lower"
 	"tbaa/internal/parser"
 	"tbaa/internal/randprog"
@@ -68,5 +69,48 @@ func TestFrontendAllocation(t *testing.T) {
 	}
 	if perInstr > maxLowerBytesPerInstr {
 		t.Errorf("lower allocates %.0f bytes per instruction, bound %d", perInstr, maxLowerBytesPerInstr)
+	}
+}
+
+// maxFlowBytesPerInstr bounds what one flow-sensitive CountPairs
+// allocates, per lowered instruction, on the 20k-line module below. The
+// sweep solves every procedure's flow facts once, so the bound covers
+// the whole FSTypeRefs/IPTypeRefs dataflow. Solving on numbered slots
+// with pooled scratch gives about 52 bytes per instruction; cloning two
+// maps per block transfer and rendering every path on every transfer
+// took about 344.
+const maxFlowBytesPerInstr = 172
+
+// TestFlowFactsAllocation measures one CountPairs on a fresh
+// IPTypeRefs oracle, built through a PassEnv so the call summaries are
+// wired in before any procedure is solved. Like TestFrontendAllocation
+// it must not run in parallel with other tests.
+func TestFlowFactsAllocation(t *testing.T) {
+	src := randprog.GenerateScale(1, randprog.ScaleConfigForLines(20_000))
+	prog, _, err := Compile("scale.m3", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewPassEnv(prog, alias.Options{Level: alias.LevelIPTypeRefs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := env.Oracle()
+	instrs := 0
+	for _, p := range prog.Procs {
+		for _, b := range p.Blocks {
+			instrs += len(b.Instrs)
+		}
+	}
+	runtime.GC()
+
+	before := heapAllocs()
+	pc := alias.CountPairs(prog, o)
+	swept := heapAllocs() - before
+
+	perInstr := float64(swept) / float64(instrs)
+	t.Logf("CountPairs %+v: %d bytes for %d instrs (%.0f per instr)", pc, swept, instrs, perInstr)
+	if perInstr > maxFlowBytesPerInstr {
+		t.Errorf("CountPairs allocates %.0f bytes per instruction, bound %d", perInstr, maxFlowBytesPerInstr)
 	}
 }
