@@ -73,29 +73,37 @@ func preProc(prog *ir.Program, p *ir.Proc, o alias.Oracle, mr *modref.ModRef) in
 
 	// Find candidate (block, class) pairs: a load of c before any gen of
 	// c in a reachable block b, with c available on some path into b
-	// but not on all. A kill of c before the load does not disqualify
-	// it, since c was not must-available to begin with.
+	// but not on all, and not killed in b before the load. Compensation
+	// loads on b's predecessors make only such a load redundant: what
+	// they supply dies at the kill.
 	type want struct {
 		b *ir.Block
 		c int32
 	}
 	var wants []want
 	genned := make([]bool, n)
+	live := make([]bool, n) // not killed since b's entry
 	for _, b := range p.Blocks {
 		k, ok := a.order[b]
 		if !ok {
 			continue // unreachable
 		}
 		clear(genned)
+		for c := range live {
+			live[c] = true
+		}
 		for i, c := range a.gen[b] {
-			if c < 0 {
-				continue
-			}
-			if in := &b.Instrs[i]; (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField) &&
-				!genned[c] && !must.in[k][c] && may.in[k][c] && sampleLoad[c] != nil {
+			in := &b.Instrs[i]
+			load := c >= 0 && (in.Op == ir.OpLoad || in.Op == ir.OpLoadVarField)
+			if load && !genned[c] && live[c] && !must.in[k][c] && may.in[k][c] && sampleLoad[c] != nil {
 				wants = append(wants, want{b, c})
 			}
-			genned[c] = true
+			if !load {
+				a.kill.apply(in, a.classes, live, true)
+			}
+			if c >= 0 {
+				genned[c] = true
+			}
 		}
 	}
 	if len(wants) == 0 {

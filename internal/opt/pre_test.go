@@ -111,6 +111,52 @@ func TestPREShrinksConditionalCategory(t *testing.T) {
 	}
 }
 
+// TestPRESkipsLoadsKilledInTheirBlock pins the candidate rule: t.f is
+// available after the THEN arm and not after the ELSE arm, but in the
+// join block a call or a store to a path that may alias t.f kills it
+// before the load. Compensation loads on the ELSE edge could not make
+// that load redundant, so PRE must insert none.
+func TestPRESkipsLoadsKilledInTheirBlock(t *testing.T) {
+	for _, kill := range []string{"Clobber();", "u.f := i;"} {
+		src := `
+MODULE M;
+TYPE T = OBJECT f: INTEGER; END;
+VAR t, u: T; i, x, y: INTEGER;
+PROCEDURE Clobber() =
+BEGIN
+  t.f := t.f + 1;
+END Clobber;
+BEGIN
+  t := NEW(T);
+  u := t;
+  t.f := 2;
+  x := 0;
+  FOR i := 1 TO 60 DO
+    IF i MOD 2 = 0 THEN
+      x := x + t.f;
+    ELSE
+      Clobber();
+    END;
+    ` + kill + `
+    y := t.f;
+    x := x + y;
+  END;
+  PutInt(x); PutLn();
+END M.
+`
+		prog, _, err := driver.Compile("k.m3", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := alias.New(prog, alias.Options{Level: alias.LevelSMFieldTypeRefs})
+		mr := modref.Compute(prog)
+		opt.RLE(prog, o, mr)
+		if res := opt.PRE(prog, o, mr); res.Inserted != 0 {
+			t.Errorf("kill %q before the load: PRE inserted %d compensation loads, want 0", kill, res.Inserted)
+		}
+	}
+}
+
 func TestPREZeroTripSafety(t *testing.T) {
 	// A compensation load may execute where the original did not; with a
 	// NIL pointer on the compensated path it must not trap.
