@@ -363,7 +363,6 @@ type solver struct {
 	changedAt, joinedAt []uint32
 	clock               uint32
 	owned               []bool // join scratch: a cell's set is this join's own clone
-	ownedPath           []bool
 	cur                 []cell
 	curPaths            []pathFact
 
@@ -448,7 +447,7 @@ func (s *solver) number(p *ir.Proc) {
 			s.cls = append(s.cls, c)
 		}
 		for _, pred := range b.Preds {
-			if j := s.pos[s.index(p, pred)]; j >= 0 {
+			if j := s.pos[s.index(pred)]; j >= 0 {
 				s.preds = append(s.preds, j)
 			}
 		}
@@ -494,8 +493,9 @@ func (s *solver) classOf(ap *ir.AP) int32 {
 
 // index returns b's index in p.Blocks. Lowering, inlining and edge
 // splitting keep a block's ID equal to its index; order falls back to
-// a map for procedures where they differ.
-func (s *solver) index(p *ir.Proc, b *ir.Block) int {
+// a map for procedures where they differ (a decoded artifact carries
+// whatever IDs its bytes name).
+func (s *solver) index(b *ir.Block) int {
 	if len(s.blockPos) == 0 {
 		return b.ID
 	}
@@ -517,14 +517,14 @@ func (s *solver) order(p *ir.Proc) {
 	for i := range s.pos {
 		s.pos[i] = -1
 	}
-	s.pos[s.index(p, p.Entry)] = 0
+	s.pos[s.index(p.Entry)] = 0
 	s.dfs = append(s.dfs[:0], dfsFrame{b: p.Entry})
 	for len(s.dfs) > 0 {
 		top := &s.dfs[len(s.dfs)-1]
 		if top.next < len(top.b.Succs) {
 			succ := top.b.Succs[top.next]
 			top.next++
-			if i := s.index(p, succ); s.pos[i] < 0 {
+			if i := s.index(succ); s.pos[i] < 0 {
 				s.pos[i] = 0
 				s.dfs = append(s.dfs, dfsFrame{b: succ})
 			}
@@ -535,7 +535,7 @@ func (s *solver) order(p *ir.Proc) {
 	}
 	slices.Reverse(s.rpo)
 	for k, b := range s.rpo {
-		s.pos[s.index(p, b)] = int32(k)
+		s.pos[s.index(b)] = int32(k)
 	}
 }
 
@@ -631,7 +631,6 @@ func (s *solver) join(k int) bool {
 			copy(in, out)
 			clear(s.owned)
 			paths = append(paths, other...)
-			s.ownedPath = resize(s.ownedPath, len(paths))
 			continue
 		}
 		for i := range in {
@@ -645,16 +644,17 @@ func (s *solver) join(k int) bool {
 			in[i].set, s.owned[i] = unionShared(in[i].set, s.owned[i], out[i].set)
 		}
 		// Both lists are sorted by class: a fact survives when the other
-		// predecessor holds one for an Equal path.
+		// predecessor holds one for an Equal path. Path facts are rare, so
+		// a growing union is always cloned.
 		w, o := 0, 0
-		for r, fct := range paths {
+		for _, fct := range paths {
 			for o < len(other) && other[o].cls < fct.cls {
 				o++
 			}
 			if o == len(other) || other[o].cls != fct.cls || !other[o].ap.Equal(fct.ap) {
 				continue
 			}
-			fct.set, s.ownedPath[w] = unionShared(fct.set, s.ownedPath[r], other[o].set)
+			fct.set, _ = unionShared(fct.set, false, other[o].set)
 			paths[w] = fct
 			w++
 		}
@@ -752,10 +752,8 @@ func (s *solver) release() {
 	s.cls = s.cls[:0]
 	s.preds = s.preds[:0]
 	clear(s.cells)
-	for k := range s.inPaths {
-		clear(s.inPaths[k])
-		clear(s.outPaths[k])
-	}
+	clear(s.inPaths)
+	clear(s.outPaths)
 	clear(s.cur)
 	clear(s.curPaths)
 	clear(s.regs)
