@@ -3,6 +3,7 @@ package alias
 import (
 	"slices"
 	"sync"
+	"weak"
 
 	"tbaa/internal/ir"
 	"tbaa/internal/types"
@@ -34,7 +35,7 @@ import (
 // and exit states live in one slab, and a block is re-transferred only
 // when a predecessor's exit changed. The result keeps only the
 // snapshots of the variable facts at the query sites, packed into one
-// slice; the solver's scratch is pooled and reused.
+// slice; the solver's scratch is reused between garbage collections.
 
 // Site identifies the statement a flow-sensitive query refers to. The
 // zero Site means "no statement context": the query degrades to the
@@ -324,8 +325,8 @@ type pathFact struct {
 	set types.Bitset
 }
 
-// solver is the scratch of one procedure's solve. Solvers are pooled:
-// the procFlow a solve returns points into none of it.
+// solver is the scratch of one procedure's solve. Solvers are reused
+// (see spare): the procFlow a solve returns points into none of it.
 type solver struct {
 	f *flow
 
@@ -388,7 +389,25 @@ type siteSnap struct {
 	s  snapshot
 }
 
-var solverPool = sync.Pool{New: func() any {
+// spare holds idle solvers for the next solve. Its pointers are weak:
+// a collection frees every idle solver, so scratch is reused between
+// collections but never counted in the live heap after one, as a
+// sync.Pool's victim cache would be.
+var spare struct {
+	mu      sync.Mutex
+	solvers []weak.Pointer[solver]
+}
+
+func getSolver() *solver {
+	spare.mu.Lock()
+	defer spare.mu.Unlock()
+	for n := len(spare.solvers); n > 0; n-- {
+		s := spare.solvers[n-1].Value()
+		spare.solvers = spare.solvers[:n-1]
+		if s != nil {
+			return s
+		}
+	}
 	return &solver{
 		slotOf:   make(map[*ir.Var]int32),
 		blockPos: make(map[*ir.Block]int32),
@@ -396,18 +415,24 @@ var solverPool = sync.Pool{New: func() any {
 		nameCls:  make(map[string]int32),
 		singles:  make(map[int]types.Bitset),
 	}
-}}
+}
+
+func putSolver(s *solver) {
+	spare.mu.Lock()
+	spare.solvers = append(spare.solvers, weak.Make(s))
+	spare.mu.Unlock()
+}
 
 // solve runs the forward dataflow over p to its fixpoint and snapshots
 // the narrowed variable facts in force at every query site.
 func (f *flow) solve(p *ir.Proc) *procFlow {
-	s := solverPool.Get().(*solver)
+	s := getSolver()
 	s.f = f
 	s.number(p)
 	s.fixpoint(p.NumRegs)
 	pf := s.snapshots()
 	s.release()
-	solverPool.Put(s)
+	putSolver(s)
 	return pf
 }
 
@@ -734,8 +759,8 @@ func (s *solver) snapshots() *procFlow {
 	return pf
 }
 
-// release drops what the solve referenced, so a pooled solver keeps
-// only capacity.
+// release empties the solver for its next solve, keeping capacity. The
+// slices fixpoint resizes are cleared there.
 func (s *solver) release() {
 	s.f = nil
 	clear(s.slotOf)
@@ -743,24 +768,9 @@ func (s *solver) release() {
 	clear(s.apCls)
 	clear(s.nameCls)
 	clear(s.singles)
-	clear(s.slots)
-	s.slots = s.slots[:0]
-	s.atSlot = s.atSlot[:0]
-	s.callSlot = s.callSlot[:0]
-	clear(s.rpo)
-	s.rpo = s.rpo[:0]
-	s.cls = s.cls[:0]
-	s.preds = s.preds[:0]
-	clear(s.cells)
-	clear(s.inPaths)
-	clear(s.outPaths)
-	clear(s.cur)
-	clear(s.curPaths)
-	clear(s.regs)
-	clear(s.snapFacts)
-	s.snapFacts = s.snapFacts[:0]
-	clear(s.sites)
-	s.sites = s.sites[:0]
+	s.slots, s.atSlot, s.callSlot = s.slots[:0], s.atSlot[:0], s.callSlot[:0]
+	s.rpo, s.cls, s.preds = s.rpo[:0], s.cls[:0], s.preds[:0]
+	s.snapFacts, s.sites = s.snapFacts[:0], s.sites[:0]
 }
 
 // transferBlock applies block k's instructions to the current state.
